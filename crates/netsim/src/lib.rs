@@ -70,9 +70,10 @@
 //! The [`mod@shard`] module partitions the mesh into P rectangular shards
 //! ([`hyppi_topology::ShardSpec`], quadrants by default), each owning its
 //! routers' full active-set state — calendar wheel, bitsets, flit slab.
-//! Shards advance in **cycle-synchronous supersteps**: each superstep is
-//! a step phase (the five pipeline stages, run per shard in parallel) and
-//! an exchange phase, separated by barriers. Boundary-link arrivals and
+//! Shards advance in **supersteps** of a window of W ≥ 1 cycles (W = 1
+//! on latency-1 cuts): each superstep is a step phase (the five pipeline
+//! stages, run per shard in parallel) and an exchange phase, separated
+//! by barriers. Boundary-link arrivals and
 //! upstream credit returns travel through per-edge **double-buffered
 //! mailboxes**; because every link has latency ≥ 1 cycle and credits
 //! freed in cycle `t` become visible in `t+1`, a message exchanged at the

@@ -40,8 +40,10 @@
 //!
 //! ## The superstep protocol
 //!
-//! With P > 1 shards, every simulated cycle is one superstep of two
-//! phases separated by barriers:
+//! With P > 1 shards, every superstep covers a window of W ≥ 1 cycles
+//! (`EnginePlan::lookahead`; described here for W = 1, see
+//! `worker_loop_windowed` for wider windows) in two phases separated by
+//! barriers:
 //!
 //! 1. **Step phase.** Each shard runs the five pipeline stages for its
 //!    own routers. A flit leaving through an intra-shard link lands
@@ -54,8 +56,8 @@
 //!    phase each shard swaps its filled outboxes into the shared
 //!    double-buffered mailbox grid.
 //! 2. **Exchange phase.** After the barrier, each shard drains the
-//!    mailboxes addressed to it: boundary credits land in the pending
-//!    half of the owner's credit cells (visible next cycle — the same
+//!    mailboxes addressed to it: boundary credits become spendable in
+//!    the owner's credit cells from the cycle after their free (the same
 //!    timing as locally freed credits), and boundary flits are booked
 //!    into the receiving wheel at their carried arrival cycle. Because
 //!    every link has latency ≥ 1, a flit sent in superstep `t` arrives
@@ -110,10 +112,10 @@
 use crate::config::SimConfig;
 use crate::flit::{meta, Flit, PacketInfo};
 use crate::router::{Emission, NodeState};
-use crate::sim::{finish_or_pause, rescan_trace_cursor, restore_shards, RunOutcome, SimError};
+use crate::sim::{rescan_trace_cursor, restore_shards, RunOutcome, SimError};
 use crate::snapshot::{
-    EmissionImage, EventImage, FlitImage, GlobalState, NodeImage, PacketImage, SlotImage, Snapshot,
-    SnapshotError,
+    synthetic_fingerprint, trace_fingerprint, EmissionImage, EventImage, FlitImage, GlobalState,
+    NodeImage, PacketImage, SlotImage, Snapshot, SnapshotError,
 };
 use crate::stats::SimStats;
 use crate::telemetry::{
@@ -148,9 +150,10 @@ pub(crate) type ArrivalEvent = (u32, u8, Flit);
 /// credits freed *during* cycle `stamp`. Any access at a later cycle
 /// first folds `pending` into `avail` — so credit application rides the
 /// switch-traversal stage's own reads and writes and no separate scan
-/// exists. (Mailbox credits ingested during the superstep exchange of
-/// cycle `t` land in `pending` with the same stamp, preserving the
-/// identical next-cycle visibility of the cross-shard path.)
+/// exists. (Mailbox credits freed during cycle `t` and ingested at a
+/// later exchange are applied spendable from `t+1` — see
+/// [`Self::ripen`] — preserving the same next-cycle visibility across
+/// shards.)
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CreditCell {
     /// Cycle `avail`/`pending` were last touched.
@@ -340,9 +343,9 @@ pub(crate) struct EnginePlan<'a> {
     /// Conservative-lookahead window W in cycles: shards may run W
     /// cycles between mailbox exchanges because no boundary link can
     /// deliver a flit in fewer (W = the partition's minimum boundary
-    /// latency). Forced to 1 — the classic cycle-per-superstep
-    /// protocol — for single-shard plans and closed-loop configs
-    /// (whose source credits need next-cycle global visibility).
+    /// latency). Forced to 1 — one cycle per superstep — for
+    /// single-shard plans and closed-loop configs (whose source
+    /// credits need next-cycle global visibility).
     pub lookahead: u64,
     /// For each shard, the sorted shards that may address mail to it
     /// (boundary-flit senders and boundary-credit returners).
@@ -430,10 +433,10 @@ impl<'a> EnginePlan<'a> {
             .max()
             .unwrap_or(1);
         // Safe superstep window: the minimum boundary-link latency. A
-        // closed-loop window degrades to the classic per-cycle protocol
-        // — its source credits (destination shard → origin shard, any
-        // pair) rely on next-cycle global visibility that a W-cycle
-        // window cannot provide conservatively.
+        // closed-loop config runs one-cycle windows — its source credits
+        // (destination shard → origin shard, any pair) rely on
+        // next-cycle global visibility that a W-cycle window cannot
+        // provide conservatively.
         let lookahead = if cfg.max_outstanding > 0 {
             1
         } else {
@@ -648,9 +651,8 @@ pub(crate) struct OutBundle {
     /// Boundary link arrivals.
     pub flits: Vec<BoundaryFlit>,
     /// Boundary credit returns: flattened `link * vcs + vc` index plus
-    /// the absolute cycle the credit was freed (always the exchanged
-    /// cycle under the classic protocol; any cycle of the window under
-    /// lookahead, where the receiver ripens it at `free cycle + 1`).
+    /// the absolute cycle the credit was freed (any cycle of the round's
+    /// window; the receiver ripens it at `free cycle + 1`).
     pub credits: Vec<(u32, u64)>,
     /// Closed-loop source credits: origin nodes (owned by the receiving
     /// shard) whose packet completed at a destination this shard owns.
@@ -680,13 +682,13 @@ struct Shared {
     /// bundle allocations with zero steady-state allocation.
     mail: Vec<Vec<Mutex<OutBundle>>>,
     published: Vec<Published>,
-    /// Lookahead only: each shard's progress cycle (cycles `< progress`
-    /// executed), written before the exchange barrier of every round.
+    /// Each shard's progress cycle (cycles `< progress` executed),
+    /// written before the exchange barrier of every round.
     /// The minimum over all shards is the credit-visibility frontier —
     /// every credit freed before it has been mailed and ingested.
     progress: Vec<AtomicU64>,
-    /// Lookahead only: per-worker drained-and-exhausted marker
-    /// (`u64::MAX` = still live). A dead worker's value is the cycle
+    /// Per-worker drained-and-exhausted marker (`u64::MAX` = still
+    /// live), written every round. A dead worker's value is the cycle
     /// the per-cycle protocol would have rested at; all workers dead ⇒
     /// the run ends at the maximum of these.
     done_at: Vec<AtomicU64>,
@@ -1782,31 +1784,23 @@ impl ShardState {
     /// Ingests one incoming bundle: applies boundary credits and books
     /// boundary flits into the local calendar wheel, minting local packet
     /// handles for arriving heads (the exchange phase). `now` is the
-    /// shard's next unexecuted cycle. Under the classic protocol every
-    /// mailed credit was freed exactly at `now`, and lands in the
-    /// pending half of its [`CreditCell`] with that stamp — the same
-    /// next-cycle visibility as locally freed credits. Under lookahead
-    /// (`windowed`) the bundle spans a window: credits already due
-    /// (freed before `now`) are applied spendable-at-`now` directly,
-    /// later ones wait in the ripening buffer for their cycle.
+    /// shard's next unexecuted cycle. The bundle spans the round's
+    /// window: credits already due (freed before `now`) are applied
+    /// spendable-at-`now` directly — the next-cycle visibility of a
+    /// locally freed credit — and later ones wait in the ripening buffer
+    /// for their cycle.
     pub(crate) fn ingest(
         &mut self,
         plan: &EnginePlan<'_>,
         from: u16,
         bundle: &mut OutBundle,
         now: u64,
-        windowed: bool,
     ) {
         for (idx, freed) in bundle.credits.drain(..) {
-            if windowed {
-                if freed < now {
-                    self.credits[idx as usize].ripen(now);
-                } else {
-                    self.ripen.push((freed + 1, idx));
-                }
+            if freed < now {
+                self.credits[idx as usize].ripen(now);
             } else {
-                debug_assert_eq!(freed, now, "classic exchange credit from another cycle");
-                self.credits[idx as usize].free(now);
+                self.ripen.push((freed + 1, idx));
             }
         }
         for src in bundle.src_credits.drain(..) {
@@ -1872,13 +1866,13 @@ impl ShardState {
             .all(|&c| self.credits[c as usize].peek(now) > 0)
     }
 
-    /// Drains every mailbox addressed to this shard (the exchange phase).
+    /// Drains every mailbox addressed to this shard (the exchange phase);
+    /// `now` is the shard's next unexecuted cycle.
     fn collect_inboxes<P: Probe>(
         &mut self,
         plan: &EnginePlan<'_>,
         shared: &Shared,
         now: u64,
-        windowed: bool,
         probe: &mut P,
     ) {
         for &from in &plan.inbox_sources[self.id] {
@@ -1891,16 +1885,18 @@ impl ShardState {
                 }
                 std::mem::take(&mut *cell)
             };
+            // Probed runs exchange every cycle (W = 1): the bundle is
+            // the mail of the one cycle just executed, `now - 1`.
             if P::ENABLED {
                 probe.on_exchange(
                     usize::from(from),
                     self.id,
                     scratch.flits.len(),
                     scratch.credits.len(),
-                    now,
+                    now - 1,
                 );
             }
-            self.ingest(plan, from, &mut scratch, now, windowed);
+            self.ingest(plan, from, &mut scratch, now);
             // Return the drained allocation for the sender to reuse.
             let mut cell = shared.mail[usize::from(from)][self.id]
                 .lock()
@@ -2196,7 +2192,7 @@ impl InjectTables {
 
 /// One run's traffic source, shared read-only across workers.
 #[derive(Clone, Copy)]
-pub(crate) enum Workload<'w> {
+enum Workload<'w> {
     /// Trace-driven admission.
     Trace(&'w Trace),
     /// Bernoulli synthetic injection (1-flit packets).
@@ -2242,20 +2238,12 @@ impl RunCursor {
             rng: StdRng::seed_from_u64(seed).state(),
         }
     }
-
-    /// The start-of-run cursor for the given workload.
-    pub fn fresh(workload: &Workload<'_>) -> Self {
-        match workload {
-            Workload::Synthetic { seed, .. } => Self::fresh_for_synthetic(*seed),
-            Workload::Trace(_) => Self::fresh_for_trace(),
-        }
-    }
 }
 
 /// How a bounded run ended: the workload drained, or the stop cycle was
 /// reached first (resume from the carried cursor).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RunEnd {
+enum RunEnd {
     /// Everything delivered; the value is the final cycle count.
     Done(u64),
     /// `stop_at` reached with work outstanding.
@@ -2302,16 +2290,49 @@ fn lap(mark: &mut Option<std::time::Instant>) -> u64 {
 }
 
 /// Runs `my` (this worker's shards) from `start` until the workload
-/// drains or `stop_at` is reached, in lockstep with the other workers.
-/// Every control decision is derived from data identical across workers,
-/// so all workers step/jump/stop on the same cycles.
+/// drains or `stop_at` is reached, in lockstep with the other workers —
+/// the one superstep loop behind every run. Every control decision is
+/// derived from data identical across workers, so all workers
+/// step/jump/stop on the same cycles.
+///
+/// Supersteps cover windows of up to W = `plan.lookahead` cycles. W = 1
+/// is the per-cycle protocol: single-shard plans and closed-loop configs
+/// derive it (closed-loop source credits need next-cycle global
+/// visibility), `ShardedSimulator::with_lookahead(1)` forces it, and
+/// probed runs clamp to it below (probes observe every cycle, in order,
+/// including the exchange timing wider windows amortize away). With one
+/// shard there is nobody to exchange with: the loop skips the mailbox
+/// grid and both barriers.
+///
+/// Soundness of W > 1 rests on three facts (see `docs/ARCHITECTURE.md`,
+/// "Conservative lookahead"):
+///
+/// * **Flits**: a boundary flit sent at any cycle of window `[T, T+W)`
+///   travels a link of latency ≥ W, so it arrives ≥ T+W — always
+///   bookable at the inter-round exchange before its receiver executes
+///   the next window.
+/// * **Credits**: arbitration only ever compares a boundary credit cell
+///   against zero, and takes at most one credit per cell per cycle.
+///   Missed remote frees under-count, never over-count, so a non-zero
+///   reading is exact. A *zero* reading beyond the visibility frontier
+///   (the minimum shard progress at the last exchange) may be stale —
+///   the shard stops its round there and retries after the next
+///   exchange, when ripened credits or a grown frontier resolve it.
+///   The minimum-progress shard is always at its own frontier, so every
+///   round advances the global state: worst case degrades to the
+///   per-cycle protocol, never past it.
+/// * **Consensus**: termination and idle fast-forward decisions move to
+///   window boundaries, where every worker sees barrier-fresh published
+///   state. Each worker tracks the cycle the per-cycle protocol would
+///   rest at (`candidate`: past every executed cycle, onto every real
+///   idle-jump target); a drained run ends at the maximum over workers.
 ///
 /// The probe observes this worker's shards only; probed runs are
-/// single-worker (see [`run_sharded_until_probed`]) so one probe sees
-/// everything. `prof`, when set, receives this worker's superstep phase
-/// times (step / exchange / barrier) on exit.
+/// single-worker (see [`run_shards`]) so one probe sees everything.
+/// `prof`, when set, receives this worker's superstep phase times (step /
+/// exchange / barrier) on exit.
 #[allow(clippy::too_many_arguments)]
-fn worker_loop<P: Probe>(
+fn worker_loop_windowed<P: Probe>(
     plan: &EnginePlan<'_>,
     shared: &Shared,
     my: &mut [ShardState],
@@ -2335,274 +2356,13 @@ fn worker_loop<P: Probe>(
     for (i, s) in my.iter().enumerate() {
         mine[s.id] = i;
     }
-    let mut now = start.now;
+    let window = if P::ENABLED { 1 } else { plan.lookahead };
+    let exchange = plan.partition.num_shards() > 1;
     let mut next_event = start.next_event as usize; // full-trace cursor
     let mut rng = StdRng::from_state(start.rng);
     // Burst factors are a pure function of (workload seed, node, cycle),
-    // so the cache needs no snapshotting and is valid from any resume
-    // point. Traces carry their own timing — steady placeholder.
-    let mut burst = match workload {
-        Workload::Synthetic { seed, .. } => {
-            BurstState::new(plan.cfg.burst, seed, plan.topo.num_nodes())
-        }
-        Workload::Trace(_) => BurstState::steady(),
-    };
-    loop {
-        // --- bounded-run stop (lockstep: same cycle on every worker) ---
-        if now >= stop_at {
-            return Ok(RunEnd::Stopped(RunCursor {
-                now,
-                next_event: next_event as u64,
-                rng: rng.state(),
-            }));
-        }
-        // --- admission (identical sequence on every worker) ---
-        let mut must_step = false;
-        match workload {
-            Workload::Trace(trace) => {
-                while next_event < trace.events.len() && trace.events[next_event].cycle <= now {
-                    let e = &trace.events[next_event];
-                    next_event += 1;
-                    let shard = usize::from(plan.partition.shard_of_node[e.src.index()]);
-                    // Faulted topologies: traffic to or from a dead router
-                    // has no route — dropped at admission (owner counts
-                    // it), activating nothing, so fast-forward stays legal.
-                    if !plan.routes.reachable(e.src, e.dst) {
-                        if mine[shard] != usize::MAX {
-                            my[mine[shard]].stats.unreachable_pairs += 1;
-                            if P::ENABLED {
-                                probe.on_stall(StallCause::NoRoute, e.src, now);
-                            }
-                        }
-                        continue;
-                    }
-                    // Any admission (even to another worker's shard)
-                    // activates some shard, so nobody may fast-forward.
-                    must_step = true;
-                    if mine[shard] != usize::MAX {
-                        my[mine[shard]].admit(plan, e.src, e.dst, e.flits, e.cycle);
-                    }
-                }
-            }
-            Workload::Synthetic {
-                tables,
-                warmup,
-                measure,
-                ..
-            } => {
-                if now < warmup + measure {
-                    // The injection window always steps, like P=1.
-                    must_step = true;
-                    let factors = burst.factors_at(now);
-                    tables.inject_cycle(
-                        &mut rng,
-                        now,
-                        warmup,
-                        factors,
-                        |src, dst, inject_cycle| {
-                            let shard = usize::from(plan.partition.shard_of_node[src.index()]);
-                            if mine[shard] == usize::MAX {
-                                return;
-                            }
-                            // The RNG draws already happened identically on
-                            // every worker; dropping here keeps the sequence.
-                            if !plan.routes.reachable(src, dst) {
-                                my[mine[shard]].stats.unreachable_pairs += 1;
-                                if P::ENABLED {
-                                    probe.on_stall(StallCause::NoRoute, src, now);
-                                }
-                                return;
-                            }
-                            my[mine[shard]].admit(plan, src, dst, 1, inject_cycle);
-                        },
-                    );
-                }
-            }
-        }
-
-        // --- idle fast-forward / termination (lockstep decision) ---
-        if !must_step {
-            let busy_now = my.iter().any(|s| !s.quiescent());
-            let others_busy = shared
-                .published
-                .iter()
-                .enumerate()
-                .any(|(i, p)| i != worker_index && p.active.load(Ordering::Acquire));
-            if !busy_now && !others_busy {
-                // No router anywhere can act this cycle: fast-forward to
-                // the next timeline event — a booked link arrival (any
-                // shard) or the next trace admission.
-                let next_arrival = shared
-                    .published
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| {
-                        if i == worker_index {
-                            my.iter()
-                                .filter_map(|s| s.next_arrival_cycle(now))
-                                .min()
-                                .unwrap_or(u64::MAX)
-                        } else {
-                            p.next_arrival.load(Ordering::Acquire)
-                        }
-                    })
-                    .min()
-                    .unwrap_or(u64::MAX);
-                let next_admission = match workload {
-                    Workload::Trace(trace) => trace.events.get(next_event).map(|e| e.cycle),
-                    Workload::Synthetic { .. } => None, // injection window over
-                };
-                let target = match (next_arrival, next_admission) {
-                    (u64::MAX, None) => break, // drained, source exhausted
-                    (u64::MAX, Some(t)) => t,
-                    (a, None) => a,
-                    (a, Some(t)) => a.min(t),
-                };
-                // A bounded run never jumps past its stop cycle — the
-                // loop-top check turns the landing into a clean pause.
-                let target = target.min(stop_at);
-                if target > now {
-                    now = target;
-                    continue; // re-run admission at the new cycle
-                }
-            }
-        }
-
-        // --- superstep: step phase ---
-        let mut mark = acc.sink.map(|_| std::time::Instant::now());
-        for s in my.iter_mut() {
-            s.step_probed(plan, now, probe);
-        }
-        acc.step_ns += lap(&mut mark);
-        if plan.partition.num_shards() > 1 {
-            for s in my.iter_mut() {
-                s.post_outboxes(shared);
-            }
-            acc.exchange_ns += lap(&mut mark);
-            shared.barrier.wait();
-            acc.barrier_ns += lap(&mut mark);
-            // --- superstep: exchange phase ---
-            for s in my.iter_mut() {
-                s.collect_inboxes(plan, shared, now, false, probe);
-            }
-        }
-        // Publish post-step activity for next cycle's lockstep decision.
-        let active = my.iter().any(|s| !s.quiescent());
-        shared.published[worker_index]
-            .active
-            .store(active, Ordering::Release);
-        if !active {
-            let arr = my
-                .iter()
-                .filter_map(|s| s.next_arrival_cycle(now + 1))
-                .min()
-                .unwrap_or(u64::MAX);
-            shared.published[worker_index]
-                .next_arrival
-                .store(arr, Ordering::Release);
-        }
-        if P::ENABLED {
-            for s in my.iter() {
-                probe.on_cycle_end(EngineView { state: s, plan }, now);
-            }
-        }
-        acc.exchange_ns += lap(&mut mark);
-        if plan.partition.num_shards() > 1 {
-            shared.barrier.wait();
-            acc.barrier_ns += lap(&mut mark);
-        }
-        acc.supersteps += 1;
-
-        now += 1;
-        if now > plan.cfg.max_cycles {
-            if dump_on_stall {
-                for s in my.iter() {
-                    s.dump_blocked(plan, now);
-                }
-            }
-            // Origins and completions accumulate separately: a shard that
-            // mostly *receives* traffic completes more packets than it
-            // originates, so per-shard differences can be negative; the
-            // global difference equals the P=1 stuck-packet count.
-            let origins: u64 = my.iter().map(|s| s.origin_packets).sum();
-            let completed: u64 = my.iter().map(|s| s.completed_packets).sum();
-            shared.stuck_origins.fetch_add(origins, Ordering::SeqCst);
-            shared
-                .stuck_completed
-                .fetch_add(completed, Ordering::SeqCst);
-            if plan.partition.num_shards() > 1 {
-                shared.barrier.wait();
-            }
-            return Err(SimError::CycleLimit {
-                stuck_packets: shared.stuck_origins.load(Ordering::SeqCst)
-                    - shared.stuck_completed.load(Ordering::SeqCst),
-            });
-        }
-    }
-    Ok(RunEnd::Done(now))
-}
-
-/// [`worker_loop`] under conservative lookahead: supersteps cover
-/// windows of up to `plan.lookahead` (= W) cycles instead of one.
-///
-/// Soundness rests on three facts (see `docs/ARCHITECTURE.md`,
-/// "Conservative lookahead"):
-///
-/// * **Flits**: a boundary flit sent at any cycle of window `[T, T+W)`
-///   travels a link of latency ≥ W, so it arrives ≥ T+W — always
-///   bookable at the inter-round exchange before its receiver executes
-///   the next window.
-/// * **Credits**: arbitration only ever compares a boundary credit cell
-///   against zero, and takes at most one credit per cell per cycle.
-///   Missed remote frees under-count, never over-count, so a non-zero
-///   reading is exact. A *zero* reading beyond the visibility frontier
-///   (the minimum shard progress at the last exchange) may be stale —
-///   the shard stops its round there and retries after the next
-///   exchange, when ripened credits or a grown frontier resolve it.
-///   The minimum-progress shard is always at its own frontier, so every
-///   round advances the global state: worst case degrades to the
-///   per-cycle protocol, never past it.
-/// * **Consensus**: termination and idle fast-forward decisions move to
-///   window boundaries, where every worker sees barrier-fresh published
-///   state. Each worker tracks the cycle the per-cycle protocol would
-///   rest at (`candidate`: past every executed cycle, onto every real
-///   idle-jump target); a drained run ends at the maximum over workers
-///   — bit-equal to the classic `RunEnd::Done` cycle.
-///
-/// Closed-loop configs force `plan.lookahead == 1` (their source
-/// credits need next-cycle global visibility) and probed runs keep the
-/// per-cycle loop (probes observe every cycle in order), so this loop
-/// never runs for either.
-#[allow(clippy::too_many_arguments)]
-fn worker_loop_windowed(
-    plan: &EnginePlan<'_>,
-    shared: &Shared,
-    my: &mut [ShardState],
-    workload: Workload<'_>,
-    dump_on_stall: bool,
-    worker_index: usize,
-    start: RunCursor,
-    stop_at: u64,
-    prof: Option<&ProfileSink>,
-) -> Result<RunEnd, SimError> {
-    let mut acc = ProfFlush {
-        sink: prof,
-        step_ns: 0,
-        exchange_ns: 0,
-        barrier_ns: 0,
-        supersteps: 0,
-    };
-    // Shard-id → index into `my` (MAX = not mine).
-    let mut mine = vec![usize::MAX; plan.partition.num_shards()];
-    for (i, s) in my.iter().enumerate() {
-        mine[s.id] = i;
-    }
-    let probe = &mut NoopProbe;
-    let window = plan.lookahead;
-    debug_assert!(window > 1, "windowed loop needs a lookahead window");
-    let mut next_event = start.next_event as usize; // full-trace cursor
-    let mut rng = StdRng::from_state(start.rng);
-    // Pure per-(seed, node, cycle) factors: valid from any window start.
+    // so the cache needs no snapshotting and is valid from any window
+    // start. Traces carry their own timing — steady placeholder.
     let mut burst = match workload {
         Workload::Synthetic { seed, .. } => {
             BurstState::new(plan.cfg.burst, seed, plan.topo.num_nodes())
@@ -2658,14 +2418,17 @@ fn worker_loop_windowed(
             }));
         }
         if ran_window && t > plan.cfg.max_cycles {
-            // Same error protocol as the per-cycle loop (which checks
-            // after every executed cycle; windows clamp at
-            // `max_cycles + 1`, so `t` lands exactly there).
+            // Windows clamp at `max_cycles + 1`, so `t` lands exactly
+            // on the first cycle past the limit.
             if dump_on_stall {
                 for s in my.iter() {
                     s.dump_blocked(plan, t);
                 }
             }
+            // Origins and completions accumulate separately: a shard that
+            // mostly *receives* traffic completes more packets than it
+            // originates, so per-shard differences can be negative; the
+            // global difference equals the P=1 stuck-packet count.
             let origins: u64 = my.iter().map(|s| s.origin_packets).sum();
             let completed: u64 = my.iter().map(|s| s.completed_packets).sum();
             shared.stuck_origins.fetch_add(origins, Ordering::SeqCst);
@@ -2707,6 +2470,8 @@ fn worker_loop_windowed(
                 (a, Some(c)) => Some(a.min(c)),
             };
             if let Some(target) = target {
+                // A bounded run never jumps past its stop cycle — the
+                // boundary check turns the landing into a clean pause.
                 let target = target.min(stop_at);
                 if target > t {
                     // The skipped cycles are provably no-ops everywhere
@@ -2728,6 +2493,7 @@ fn worker_loop_windowed(
         loop {
             // -- run [u, end), as far as credit visibility allows --
             let mut mark = acc.sink.map(|_| std::time::Instant::now());
+            let mut stepped = false;
             'cycles: while u < end {
                 for s in my.iter_mut() {
                     s.apply_ripe_credits(u);
@@ -2751,12 +2517,21 @@ fn worker_loop_windowed(
                             let e = &trace.events[next_event];
                             next_event += 1;
                             let shard = usize::from(plan.partition.shard_of_node[e.src.index()]);
+                            // Faulted topologies: traffic to or from a
+                            // dead router has no route — dropped at
+                            // admission (owner counts it), activating
+                            // nothing, so fast-forward stays legal.
                             if !plan.routes.reachable(e.src, e.dst) {
                                 if mine[shard] != usize::MAX {
                                     my[mine[shard]].stats.unreachable_pairs += 1;
+                                    if P::ENABLED {
+                                        probe.on_stall(StallCause::NoRoute, e.src, u);
+                                    }
                                 }
                                 continue;
                             }
+                            // Any admission (even to another worker's
+                            // shard) activates some shard.
                             must_step = true;
                             if mine[shard] != usize::MAX {
                                 my[mine[shard]].admit(plan, e.src, e.dst, e.flits, e.cycle);
@@ -2765,6 +2540,7 @@ fn worker_loop_windowed(
                     }
                     Workload::Synthetic { tables, warmup, .. } => {
                         if u < inject_end {
+                            // The injection window always steps.
                             must_step = true;
                             let factors = burst.factors_at(u);
                             tables.inject_cycle(
@@ -2778,8 +2554,14 @@ fn worker_loop_windowed(
                                     if mine[shard] == usize::MAX {
                                         return;
                                     }
+                                    // The RNG draws already happened
+                                    // identically on every worker;
+                                    // dropping here keeps the sequence.
                                     if !plan.routes.reachable(src, dst) {
                                         my[mine[shard]].stats.unreachable_pairs += 1;
+                                        if P::ENABLED {
+                                            probe.on_stall(StallCause::NoRoute, src, u);
+                                        }
                                         return;
                                     }
                                     my[mine[shard]].admit(plan, src, dst, 1, inject_cycle);
@@ -2820,45 +2602,59 @@ fn worker_loop_windowed(
                 for s in my.iter_mut() {
                     s.step_probed(plan, u, probe);
                 }
+                stepped = true;
                 u += 1;
                 candidate = u;
             }
             acc.step_ns += lap(&mut mark);
             // -- exchange: post, sync, collect, publish --
-            for s in my.iter_mut() {
-                s.post_outboxes(shared);
-            }
             for s in my.iter() {
                 shared.progress[s.id].store(u, Ordering::Release);
             }
-            acc.exchange_ns += lap(&mut mark);
-            shared.barrier.wait();
-            acc.barrier_ns += lap(&mut mark);
-            for s in my.iter_mut() {
-                s.collect_inboxes(plan, shared, u, true, probe);
+            if exchange {
+                for s in my.iter_mut() {
+                    s.post_outboxes(shared);
+                }
+                acc.exchange_ns += lap(&mut mark);
+                shared.barrier.wait();
+                acc.barrier_ns += lap(&mut mark);
+                for s in my.iter_mut() {
+                    s.collect_inboxes(plan, shared, u, probe);
+                }
             }
             // Post-collect lockstep data. Deadness is evaluated after
             // the mail landed, so any in-flight flit keeps some worker
-            // live and the drain consensus can never fire early.
+            // live and the drain consensus can never fire early. The
+            // next arrival is only read while nobody is active.
             let active = my.iter().any(|s| !s.quiescent());
             shared.published[worker_index]
                 .active
                 .store(active, Ordering::Release);
-            let arr = my
-                .iter()
-                .filter_map(|s| s.next_arrival_cycle(u))
-                .min()
-                .unwrap_or(u64::MAX);
-            shared.published[worker_index]
-                .next_arrival
-                .store(arr, Ordering::Release);
-            let exhausted = match workload {
-                Workload::Trace(trace) => next_event >= trace.events.len(),
-                Workload::Synthetic { .. } => u >= inject_end,
-            };
-            let dead = !active && arr == u64::MAX && exhausted;
+            let mut dead = false;
+            if !active {
+                let arr = my
+                    .iter()
+                    .filter_map(|s| s.next_arrival_cycle(u))
+                    .min()
+                    .unwrap_or(u64::MAX);
+                shared.published[worker_index]
+                    .next_arrival
+                    .store(arr, Ordering::Release);
+                dead = arr == u64::MAX
+                    && match workload {
+                        Workload::Trace(trace) => next_event >= trace.events.len(),
+                        Workload::Synthetic { .. } => u >= inject_end,
+                    };
+            }
             shared.done_at[worker_index]
                 .store(if dead { candidate } else { u64::MAX }, Ordering::Release);
+            // Probed runs use one-cycle windows (W = 1), so a stepped
+            // round executed exactly cycle `u - 1`.
+            if P::ENABLED && stepped {
+                for s in my.iter() {
+                    probe.on_cycle_end(EngineView { state: s, plan }, u - 1);
+                }
+            }
             // Frontier and window consensus from the published progress
             // (stored before the exchange barrier, so the reads below
             // are the same on every worker).
@@ -2870,8 +2666,10 @@ fn worker_loop_windowed(
                 .unwrap_or(u);
             frontier = minp;
             acc.exchange_ns += lap(&mut mark);
-            shared.barrier.wait();
-            acc.barrier_ns += lap(&mut mark);
+            if exchange {
+                shared.barrier.wait();
+                acc.barrier_ns += lap(&mut mark);
+            }
             acc.supersteps += 1;
             if minp >= end {
                 break;
@@ -2883,41 +2681,19 @@ fn worker_loop_windowed(
 }
 
 /// Runs a workload over `shards` from `start` until it drains or
-/// `stop_at` is reached, with up to `threads` worker threads.
-/// `threads == 1` runs everything on the calling thread (still
-/// exchanging through the mailbox grid when P > 1 — the protocol is
-/// identical, only the parallelism differs). The shards are left in
-/// their end-of-run state so the caller can snapshot or merge them.
-pub(crate) fn run_sharded_until(
-    plan: &EnginePlan<'_>,
-    shards: &mut [ShardState],
-    threads: usize,
-    workload: Workload<'_>,
-    dump_on_stall: bool,
-    start: RunCursor,
-    stop_at: u64,
-) -> Result<RunEnd, SimError> {
-    run_sharded_until_probed(
-        plan,
-        shards,
-        threads,
-        workload,
-        dump_on_stall,
-        start,
-        stop_at,
-        &mut NoopProbe,
-        None,
-    )
-}
-
-/// [`run_sharded_until`] with telemetry attached. A run with a real
-/// probe (`P::ENABLED`) is forced single-worker so one probe instance
-/// observes every shard of every cycle — statistics are bit-for-bit
-/// independent of the worker count, so this only affects wall clock.
-/// `prof`, when set, collects superstep phase times from all workers
-/// (profiling uses atomics, so it composes with threading).
+/// `stop_at` is reached, with up to `threads` worker threads — the one
+/// driver behind every `run_*` entry point. `threads == 1` runs
+/// everything on the calling thread (still exchanging through the
+/// mailbox grid when P > 1 — the protocol is identical, only the
+/// parallelism differs). A run with a real probe (`P::ENABLED`) is
+/// forced single-worker so one probe instance observes every shard of
+/// every cycle — statistics are bit-for-bit independent of the worker
+/// count, so this only affects wall clock. `prof`, when set, collects
+/// superstep phase times from all workers (profiling uses atomics, so it
+/// composes with threading). The shards are left in their end-of-run
+/// state so the caller can snapshot or merge them.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_sharded_until_probed<P: Probe>(
+fn run_shards<P: Probe>(
     plan: &EnginePlan<'_>,
     shards: &mut [ShardState],
     threads: usize,
@@ -2974,87 +2750,53 @@ pub(crate) fn run_sharded_until_probed<P: Probe>(
             .next_arrival
             .store(arr, Ordering::Release);
     }
-    // Windowed supersteps need a multi-cycle window and cycle-exact
-    // probes force the per-cycle loop (probes observe every cycle, in
-    // order, including the exchange timing the windows amortize away).
-    let windowed = plan.lookahead > 1 && nshards > 1 && !P::ENABLED;
     if workers == 1 {
         let chunk = chunks.pop().expect("one worker has one chunk");
-        if windowed {
-            worker_loop_windowed(
-                plan,
-                &shared,
-                chunk,
-                workload,
-                dump_on_stall,
-                0,
-                start,
-                stop_at,
-                prof,
-            )
-        } else {
-            worker_loop(
-                plan,
-                &shared,
-                chunk,
-                workload,
-                dump_on_stall,
-                0,
-                start,
-                stop_at,
-                probe,
-                prof,
-            )
-        }
-    } else {
-        debug_assert!(!P::ENABLED, "a probed run is single-worker");
-        let shared_ref = &shared;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .enumerate()
-                .map(|(w, chunk)| {
-                    scope.spawn(move || {
-                        if windowed {
-                            worker_loop_windowed(
-                                plan,
-                                shared_ref,
-                                chunk,
-                                workload,
-                                dump_on_stall,
-                                w,
-                                start,
-                                stop_at,
-                                prof,
-                            )
-                        } else {
-                            worker_loop(
-                                plan,
-                                shared_ref,
-                                chunk,
-                                workload,
-                                dump_on_stall,
-                                w,
-                                start,
-                                stop_at,
-                                &mut NoopProbe,
-                                prof,
-                            )
-                        }
-                    })
-                })
-                .collect();
-            // Lockstep guarantees identical outcomes; keep the first.
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker thread panicked"))
-                .reduce(|a, b| {
-                    debug_assert_eq!(a, b, "workers diverged");
-                    a
-                })
-                .expect("at least one worker")
-        })
+        return worker_loop_windowed(
+            plan,
+            &shared,
+            chunk,
+            workload,
+            dump_on_stall,
+            0,
+            start,
+            stop_at,
+            probe,
+            prof,
+        );
     }
+    let shared_ref = &shared;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = chunks
+            .into_iter()
+            .enumerate()
+            .map(|(w, chunk)| {
+                scope.spawn(move || {
+                    worker_loop_windowed(
+                        plan,
+                        shared_ref,
+                        chunk,
+                        workload,
+                        dump_on_stall,
+                        w,
+                        start,
+                        stop_at,
+                        &mut NoopProbe,
+                        prof,
+                    )
+                })
+            })
+            .collect();
+        // Lockstep guarantees identical outcomes; keep the first.
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker thread panicked"))
+            .reduce(|a, b| {
+                debug_assert_eq!(a, b, "workers diverged");
+                a
+            })
+            .expect("at least one worker")
+    })
 }
 
 /// Merges the per-shard statistics of a finished run.
@@ -3065,55 +2807,6 @@ pub(crate) fn merge_stats(plan: &EnginePlan<'_>, shards: &[ShardState], cycles: 
     }
     merged.cycles = cycles;
     merged
-}
-
-/// Runs a workload over `shards` to completion and merges the per-shard
-/// statistics (the unbounded wrapper around [`run_sharded_until`]).
-pub(crate) fn run_sharded(
-    plan: &EnginePlan<'_>,
-    shards: Vec<ShardState>,
-    threads: usize,
-    workload: Workload<'_>,
-    dump_on_stall: bool,
-) -> Result<SimStats, SimError> {
-    run_sharded_probed(
-        plan,
-        shards,
-        threads,
-        workload,
-        dump_on_stall,
-        &mut NoopProbe,
-        None,
-    )
-}
-
-/// [`run_sharded`] with telemetry attached — see
-/// [`run_sharded_until_probed`] for the probe and profiling contract.
-pub(crate) fn run_sharded_probed<P: Probe>(
-    plan: &EnginePlan<'_>,
-    mut shards: Vec<ShardState>,
-    threads: usize,
-    workload: Workload<'_>,
-    dump_on_stall: bool,
-    probe: &mut P,
-    prof: Option<&ProfileSink>,
-) -> Result<SimStats, SimError> {
-    let start = RunCursor::fresh(&workload);
-    let end = run_sharded_until_probed(
-        plan,
-        &mut shards,
-        threads,
-        workload,
-        dump_on_stall,
-        start,
-        u64::MAX,
-        probe,
-        prof,
-    )?;
-    let RunEnd::Done(cycles) = end else {
-        unreachable!("an unbounded run cannot pause");
-    };
-    Ok(merge_stats(plan, &shards, cycles))
 }
 
 // ---- snapshot export / import ------------------------------------------
@@ -3686,6 +3379,8 @@ pub struct ShardedSimulator<'a> {
     plan: EnginePlan<'a>,
     shards: Vec<ShardState>,
     threads: usize,
+    /// Print a blocked-state dump on a cycle-limit failure.
+    dump_on_stall: bool,
 }
 
 impl<'a> ShardedSimulator<'a> {
@@ -3702,10 +3397,21 @@ impl<'a> ShardedSimulator<'a> {
         let shards = (0..plan.partition.num_shards())
             .map(|id| ShardState::new(&plan, id))
             .collect();
+        Self::from_parts(plan, shards, false)
+    }
+
+    /// Wraps an already-built plan and its shards (how
+    /// [`crate::Simulator`] runs its single shard), one worker per shard.
+    pub(crate) fn from_parts(
+        plan: EnginePlan<'a>,
+        shards: Vec<ShardState>,
+        dump_on_stall: bool,
+    ) -> Self {
         ShardedSimulator {
             plan,
             shards,
             threads: 0,
+            dump_on_stall,
         }
     }
 
@@ -3732,8 +3438,8 @@ impl<'a> ShardedSimulator<'a> {
     /// window from the cut's minimum boundary-link latency (and
     /// closed-loop configs pin it to 1); this can only *shrink* it — a
     /// window wider than the cut latency would not be conservative.
-    /// `0` keeps the derived window; `1` forces per-cycle exchanges
-    /// (the before-lookahead engine, useful for A/B profiling).
+    /// `0` keeps the derived window; `1` forces one-cycle windows, an
+    /// exchange after every cycle (useful for A/B profiling).
     pub fn with_lookahead(mut self, window: u64) -> Self {
         if window > 0 {
             self.plan.lookahead = self.plan.lookahead.min(window);
@@ -3742,7 +3448,8 @@ impl<'a> ShardedSimulator<'a> {
     }
 
     /// The conservative-lookahead window this simulator will use:
-    /// cycles per superstep exchange (1 = classic per-cycle protocol).
+    /// cycles per superstep exchange (1 = an exchange after every
+    /// cycle). Probed runs use 1 whatever this reports.
     pub fn lookahead(&self) -> u64 {
         self.plan.lookahead
     }
@@ -3773,15 +3480,7 @@ impl<'a> ShardedSimulator<'a> {
 
     /// Runs a trace to completion.
     pub fn run_trace(self, trace: &Trace) -> Result<SimStats, SimError> {
-        assert_eq!(usize::from(trace.num_nodes), self.plan.topo.num_nodes());
-        let threads = self.effective_threads();
-        run_sharded(
-            &self.plan,
-            self.shards,
-            threads,
-            Workload::Trace(trace),
-            false,
-        )
+        self.run_trace_probed(trace, &mut NoopProbe)
     }
 
     /// Runs Bernoulli-injected synthetic traffic; identical semantics
@@ -3794,20 +3493,7 @@ impl<'a> ShardedSimulator<'a> {
         measure: u64,
         seed: u64,
     ) -> Result<SimStats, SimError> {
-        let tables = InjectTables::new(self.plan.topo, matrix);
-        let threads = self.effective_threads();
-        run_sharded(
-            &self.plan,
-            self.shards,
-            threads,
-            Workload::Synthetic {
-                tables: &tables,
-                warmup,
-                measure,
-                seed,
-            },
-            false,
-        )
+        self.run_synthetic_probed(matrix, warmup, measure, seed, &mut NoopProbe)
     }
 
     // ---- telemetry -------------------------------------------------------
@@ -3822,16 +3508,9 @@ impl<'a> ShardedSimulator<'a> {
         probe: &mut P,
     ) -> Result<SimStats, SimError> {
         assert_eq!(usize::from(trace.num_nodes), self.plan.topo.num_nodes());
-        let threads = self.effective_threads();
-        run_sharded_probed(
-            &self.plan,
-            self.shards,
-            threads,
-            Workload::Trace(trace),
-            false,
-            probe,
-            None,
-        )
+        let start = RunCursor::fresh_for_trace();
+        let end = self.finish_or_pause(Workload::Trace(trace), start, u64::MAX, probe, None, || 0);
+        Ok(end?.expect_finished())
     }
 
     /// [`Self::run_synthetic`] with a telemetry probe attached — same
@@ -3845,21 +3524,15 @@ impl<'a> ShardedSimulator<'a> {
         probe: &mut P,
     ) -> Result<SimStats, SimError> {
         let tables = InjectTables::new(self.plan.topo, matrix);
-        let threads = self.effective_threads();
-        run_sharded_probed(
-            &self.plan,
-            self.shards,
-            threads,
-            Workload::Synthetic {
-                tables: &tables,
-                warmup,
-                measure,
-                seed,
-            },
-            false,
-            probe,
-            None,
-        )
+        let workload = Workload::Synthetic {
+            tables: &tables,
+            warmup,
+            measure,
+            seed,
+        };
+        let start = RunCursor::fresh_for_synthetic(seed);
+        let end = self.finish_or_pause(workload, start, u64::MAX, probe, None, || 0);
+        Ok(end?.expect_finished())
     }
 
     /// [`Self::run_trace`] with engine self-profiling: returns the
@@ -3868,18 +3541,19 @@ impl<'a> ShardedSimulator<'a> {
     /// multi-threaded runs (atomics, flushed per worker on exit).
     pub fn run_trace_profiled(self, trace: &Trace) -> Result<(SimStats, EngineProfile), SimError> {
         assert_eq!(usize::from(trace.num_nodes), self.plan.topo.num_nodes());
-        let threads = self.effective_threads();
-        let workers = threads.clamp(1, self.shards.len());
+        let workers = self.workers();
         let sink = ProfileSink::new();
-        let stats = run_sharded_probed(
-            &self.plan,
-            self.shards,
-            threads,
-            Workload::Trace(trace),
-            false,
-            &mut NoopProbe,
-            Some(&sink),
-        )?;
+        let start = RunCursor::fresh_for_trace();
+        let stats = self
+            .finish_or_pause(
+                Workload::Trace(trace),
+                start,
+                u64::MAX,
+                &mut NoopProbe,
+                Some(&sink),
+                || 0,
+            )?
+            .expect_finished();
         Ok((stats, sink.profile(workers)))
     }
 
@@ -3893,23 +3567,18 @@ impl<'a> ShardedSimulator<'a> {
         seed: u64,
     ) -> Result<(SimStats, EngineProfile), SimError> {
         let tables = InjectTables::new(self.plan.topo, matrix);
-        let threads = self.effective_threads();
-        let workers = threads.clamp(1, self.shards.len());
+        let workload = Workload::Synthetic {
+            tables: &tables,
+            warmup,
+            measure,
+            seed,
+        };
+        let workers = self.workers();
         let sink = ProfileSink::new();
-        let stats = run_sharded_probed(
-            &self.plan,
-            self.shards,
-            threads,
-            Workload::Synthetic {
-                tables: &tables,
-                warmup,
-                measure,
-                seed,
-            },
-            false,
-            &mut NoopProbe,
-            Some(&sink),
-        )?;
+        let start = RunCursor::fresh_for_synthetic(seed);
+        let stats = self
+            .finish_or_pause(workload, start, u64::MAX, &mut NoopProbe, Some(&sink), || 0)?
+            .expect_finished();
         Ok((stats, sink.profile(workers)))
     }
 
@@ -3934,14 +3603,9 @@ impl<'a> ShardedSimulator<'a> {
     /// it across this simulator's shard grid — the snapshot may have
     /// been taken at any other shard count. Must match this simulator's
     /// topology, routing, and configuration (fingerprint-checked).
-    pub fn restore(self, snap: &Snapshot) -> Result<Self, SimError> {
-        let ShardedSimulator { plan, threads, .. } = self;
-        let (shards, _) = restore_shards(&plan, snap, 0)?;
-        Ok(ShardedSimulator {
-            plan,
-            shards,
-            threads,
-        })
+    pub fn restore(mut self, snap: &Snapshot) -> Result<Self, SimError> {
+        self.restore_state(snap, 0)?;
+        Ok(self)
     }
 
     /// Runs a trace, pausing at the cycle boundary `stop_at` if the
@@ -3949,45 +3613,40 @@ impl<'a> ShardedSimulator<'a> {
     /// [`crate::Simulator::run_trace_until`].
     pub fn run_trace_until(self, trace: &Trace, stop_at: u64) -> Result<RunOutcome, SimError> {
         assert_eq!(usize::from(trace.num_nodes), self.plan.topo.num_nodes());
-        let threads = self.effective_threads();
-        let workload = Workload::Trace(trace);
-        let start = RunCursor::fresh(&workload);
-        finish_or_pause(
-            &self.plan,
-            self.shards,
-            threads,
-            workload,
+        let start = RunCursor::fresh_for_trace();
+        self.finish_or_pause(
+            Workload::Trace(trace),
             start,
             stop_at,
-            || crate::snapshot::trace_fingerprint(trace),
+            &mut NoopProbe,
+            None,
+            || trace_fingerprint(trace),
         )
     }
 
     /// Resumes a paused trace run from `snap`, itself pausing again at
     /// `stop_at` if the trace hasn't drained (pass `u64::MAX` to run to
     /// completion). The snapshot may come from any engine at any shard
-    /// count.
+    /// count, and must carry this trace's fingerprint or none (manual
+    /// snapshots).
     pub fn resume_trace_until(
-        self,
+        mut self,
         snap: &Snapshot,
         trace: &Trace,
         stop_at: u64,
     ) -> Result<RunOutcome, SimError> {
         assert_eq!(usize::from(trace.num_nodes), self.plan.topo.num_nodes());
-        let threads = self.effective_threads();
-        let (shards, mut cursor) =
-            restore_shards(&self.plan, snap, crate::snapshot::trace_fingerprint(trace))?;
+        let mut cursor = self.restore_state(snap, trace_fingerprint(trace))?;
         if snap.workload_hash() == 0 {
             cursor.next_event = rescan_trace_cursor(trace, cursor.now);
         }
-        finish_or_pause(
-            &self.plan,
-            shards,
-            threads,
+        self.finish_or_pause(
             Workload::Trace(trace),
             cursor,
             stop_at,
-            || crate::snapshot::trace_fingerprint(trace),
+            &mut NoopProbe,
+            None,
+            || trace_fingerprint(trace),
         )
     }
 
@@ -4008,7 +3667,6 @@ impl<'a> ShardedSimulator<'a> {
         seed: u64,
         stop_at: u64,
     ) -> Result<RunOutcome, SimError> {
-        let threads = self.effective_threads();
         let tables = InjectTables::new(self.plan.topo, matrix);
         let workload = Workload::Synthetic {
             tables: &tables,
@@ -4016,16 +3674,10 @@ impl<'a> ShardedSimulator<'a> {
             measure,
             seed,
         };
-        let start = RunCursor::fresh(&workload);
-        finish_or_pause(
-            &self.plan,
-            self.shards,
-            threads,
-            workload,
-            start,
-            stop_at,
-            || crate::snapshot::synthetic_fingerprint(warmup, measure, seed),
-        )
+        let start = RunCursor::fresh_for_synthetic(seed);
+        self.finish_or_pause(workload, start, stop_at, &mut NoopProbe, None, || {
+            synthetic_fingerprint(warmup, measure, seed)
+        })
     }
 
     /// Resumes a paused synthetic run to completion; same workload-
@@ -4033,44 +3685,85 @@ impl<'a> ShardedSimulator<'a> {
     /// traffic matrix is deliberately not pinned, enabling warm-start
     /// rate sweeps).
     pub fn resume_synthetic(
-        self,
+        mut self,
         snap: &Snapshot,
         matrix: &TrafficMatrix,
         warmup: u64,
         measure: u64,
         seed: u64,
     ) -> Result<SimStats, SimError> {
-        let threads = self.effective_threads();
+        let cursor = self.restore_state(snap, synthetic_fingerprint(warmup, measure, seed))?;
         let tables = InjectTables::new(self.plan.topo, matrix);
-        let (shards, cursor) = restore_shards(
-            &self.plan,
-            snap,
-            crate::snapshot::synthetic_fingerprint(warmup, measure, seed),
-        )?;
         let workload = Workload::Synthetic {
             tables: &tables,
             warmup,
             measure,
             seed,
         };
-        Ok(finish_or_pause(
-            &self.plan,
-            shards,
-            threads,
-            workload,
-            cursor,
-            u64::MAX,
-            || 0,
-        )?
-        .expect_finished())
+        let end = self.finish_or_pause(workload, cursor, u64::MAX, &mut NoopProbe, None, || 0);
+        Ok(end?.expect_finished())
     }
 
-    fn effective_threads(&self) -> usize {
-        if self.threads == 0 {
+    /// Replaces this simulator's (fresh) shard state with `snap`'s and
+    /// returns the snapshot's run cursor — see [`restore_shards`]. The
+    /// fresh state is freed first, so a restore never holds two engine
+    /// states at once.
+    fn restore_state(
+        &mut self,
+        snap: &Snapshot,
+        workload_hash: u64,
+    ) -> Result<RunCursor, SimError> {
+        self.shards.clear();
+        let (shards, cursor) = restore_shards(&self.plan, snap, workload_hash)?;
+        self.shards = shards;
+        Ok(cursor)
+    }
+
+    /// Shared tail of every run: drive the engine with [`run_shards`],
+    /// then either merge final statistics or serialize the pause
+    /// snapshot (fingerprinting the workload via `workload_hash`,
+    /// evaluated only on pause).
+    fn finish_or_pause<P: Probe>(
+        mut self,
+        workload: Workload<'_>,
+        start: RunCursor,
+        stop_at: u64,
+        probe: &mut P,
+        prof: Option<&ProfileSink>,
+        workload_hash: impl FnOnce() -> u64,
+    ) -> Result<RunOutcome, SimError> {
+        let threads = self.workers();
+        let plan = &self.plan;
+        let end = run_shards(
+            plan,
+            &mut self.shards,
+            threads,
+            workload,
+            self.dump_on_stall,
+            start,
+            stop_at,
+            probe,
+            prof,
+        )?;
+        Ok(match end {
+            RunEnd::Done(cycles) => RunOutcome::Finished(merge_stats(plan, &self.shards, cycles)),
+            RunEnd::Stopped(cursor) => RunOutcome::Paused(snapshot_shards(
+                plan,
+                &self.shards,
+                &cursor,
+                workload_hash(),
+            )),
+        })
+    }
+
+    /// Worker threads of an unprobed run: the cap, or one per shard.
+    fn workers(&self) -> usize {
+        let threads = if self.threads == 0 {
             self.shards.len()
         } else {
             self.threads
-        }
+        };
+        threads.clamp(1, self.shards.len())
     }
 }
 

@@ -6,10 +6,10 @@
 //! cost scales with the number of in-flight flits, not with network size
 //! (the seed engine survives verbatim in [`crate::reference`] as the
 //! parity oracle). [`Simulator`] is the P=1 case: one `ShardState` built
-//! over the trivial partition, driven by the same lockstep run loop the
-//! parallel [`crate::ShardedSimulator`] uses — with a single shard the
-//! mailbox grid and barriers degenerate to no-ops, so the hot path is
-//! identical to the pre-shard engine.
+//! over the trivial partition, run as a one-shard
+//! [`crate::ShardedSimulator`] through the same superstep loop — with a
+//! single shard the loop skips the mailbox grid and barriers, so the hot
+//! path is identical to the pre-shard engine.
 //!
 //! Stage order, arbitration order, credit timing, and statistics are
 //! bit-for-bit identical to the reference engine; `tests/parity.rs`
@@ -17,15 +17,11 @@
 //! `tests/shard_parity.rs` pins the sharded engine against this one.
 
 use crate::config::SimConfig;
-use crate::shard::{
-    import_shards, merge_stats, run_sharded, run_sharded_probed, run_sharded_until,
-    snapshot_shards, EnginePlan, InjectTables, RunCursor, RunEnd, ShardState, Workload,
-};
-use crate::snapshot::{
-    plan_fingerprint, synthetic_fingerprint, trace_fingerprint, Snapshot, SnapshotError,
-};
+use crate::shard::{import_shards, snapshot_shards, EnginePlan, RunCursor, ShardState};
+use crate::snapshot::{plan_fingerprint, Snapshot, SnapshotError};
 use crate::stats::SimStats;
 use crate::telemetry::Probe;
+use crate::ShardedSimulator;
 use hyppi_topology::{NodeId, Partition, RoutingTable, Topology};
 use hyppi_traffic::{Trace, TrafficMatrix};
 use rand::{rngs::StdRng, SeedableRng};
@@ -236,24 +232,23 @@ impl<'a> Simulator<'a> {
         &self.shard.outstanding
     }
 
+    /// This engine as a one-shard [`ShardedSimulator`]: every `run_*`
+    /// entry point drives the same superstep loop, which with one shard
+    /// skips the mailbox exchange and barriers.
+    fn into_sharded(self, dump_on_stall: bool) -> ShardedSimulator<'a> {
+        ShardedSimulator::from_parts(self.plan, vec![self.shard], dump_on_stall)
+    }
+
     /// Runs a trace to completion.
     pub fn run_trace(self, trace: &Trace) -> Result<SimStats, SimError> {
-        self.run_trace_impl(trace, false)
+        self.into_sharded(false).run_trace(trace)
     }
 
     /// Like [`run_trace`](Self::run_trace), but on a cycle-limit failure
     /// prints a blocked-state dump to stderr before returning the error
     /// (deadlock triage aid).
     pub fn run_trace_debug(self, trace: &Trace) -> Result<SimStats, SimError> {
-        self.run_trace_impl(trace, true)
-    }
-
-    /// The single trace-driven run loop; `dump_on_stall` enables the
-    /// deadlock-triage dump on cycle-limit failure.
-    fn run_trace_impl(self, trace: &Trace, dump_on_stall: bool) -> Result<SimStats, SimError> {
-        assert_eq!(usize::from(trace.num_nodes), self.plan.topo.num_nodes());
-        let Simulator { plan, shard } = self;
-        run_sharded(&plan, vec![shard], 1, Workload::Trace(trace), dump_on_stall)
+        self.into_sharded(true).run_trace(trace)
     }
 
     /// Runs Bernoulli-injected synthetic traffic: each node injects 1-flit
@@ -268,20 +263,8 @@ impl<'a> Simulator<'a> {
         measure: u64,
         seed: u64,
     ) -> Result<SimStats, SimError> {
-        let Simulator { plan, shard } = self;
-        let tables = InjectTables::new(plan.topo, matrix);
-        run_sharded(
-            &plan,
-            vec![shard],
-            1,
-            Workload::Synthetic {
-                tables: &tables,
-                warmup,
-                measure,
-                seed,
-            },
-            false,
-        )
+        self.into_sharded(false)
+            .run_synthetic(matrix, warmup, measure, seed)
     }
 
     // ---- telemetry -------------------------------------------------------
@@ -295,17 +278,7 @@ impl<'a> Simulator<'a> {
         trace: &Trace,
         probe: &mut P,
     ) -> Result<SimStats, SimError> {
-        assert_eq!(usize::from(trace.num_nodes), self.plan.topo.num_nodes());
-        let Simulator { plan, shard } = self;
-        run_sharded_probed(
-            &plan,
-            vec![shard],
-            1,
-            Workload::Trace(trace),
-            false,
-            probe,
-            None,
-        )
+        self.into_sharded(false).run_trace_probed(trace, probe)
     }
 
     /// [`Self::run_synthetic`] with a telemetry probe attached — same
@@ -318,22 +291,8 @@ impl<'a> Simulator<'a> {
         seed: u64,
         probe: &mut P,
     ) -> Result<SimStats, SimError> {
-        let Simulator { plan, shard } = self;
-        let tables = InjectTables::new(plan.topo, matrix);
-        run_sharded_probed(
-            &plan,
-            vec![shard],
-            1,
-            Workload::Synthetic {
-                tables: &tables,
-                warmup,
-                measure,
-                seed,
-            },
-            false,
-            probe,
-            None,
-        )
+        self.into_sharded(false)
+            .run_synthetic_probed(matrix, warmup, measure, seed, probe)
     }
 
     // ---- checkpoint / restore -------------------------------------------
@@ -374,13 +333,7 @@ impl<'a> Simulator<'a> {
     /// yields statistics bit-for-bit identical to the uninterrupted run
     /// — `tests/snapshot_parity.rs` pins this.
     pub fn run_trace_until(self, trace: &Trace, stop_at: u64) -> Result<RunOutcome, SimError> {
-        assert_eq!(usize::from(trace.num_nodes), self.plan.topo.num_nodes());
-        let Simulator { plan, shard } = self;
-        let workload = Workload::Trace(trace);
-        let start = RunCursor::fresh(&workload);
-        finish_or_pause(&plan, vec![shard], 1, workload, start, stop_at, || {
-            trace_fingerprint(trace)
-        })
+        self.into_sharded(false).run_trace_until(trace, stop_at)
     }
 
     /// Resumes a paused trace run from `snap`, itself pausing again at
@@ -393,28 +346,13 @@ impl<'a> Simulator<'a> {
         trace: &Trace,
         stop_at: u64,
     ) -> Result<RunOutcome, SimError> {
-        assert_eq!(usize::from(trace.num_nodes), self.plan.topo.num_nodes());
-        let Simulator { plan, .. } = self;
-        let (shards, mut cursor) = restore_shards(&plan, snap, trace_fingerprint(trace))?;
-        if snap.workload_hash() == 0 {
-            cursor.next_event = rescan_trace_cursor(trace, cursor.now);
-        }
-        finish_or_pause(
-            &plan,
-            shards,
-            1,
-            Workload::Trace(trace),
-            cursor,
-            stop_at,
-            || trace_fingerprint(trace),
-        )
+        self.into_sharded(false)
+            .resume_trace_until(snap, trace, stop_at)
     }
 
     /// Resumes a paused trace run to completion.
     pub fn resume_trace(self, snap: &Snapshot, trace: &Trace) -> Result<SimStats, SimError> {
-        Ok(self
-            .resume_trace_until(snap, trace, u64::MAX)?
-            .expect_finished())
+        self.into_sharded(false).resume_trace(snap, trace)
     }
 
     /// Runs synthetic traffic, pausing at the cycle boundary `stop_at`
@@ -429,18 +367,8 @@ impl<'a> Simulator<'a> {
         seed: u64,
         stop_at: u64,
     ) -> Result<RunOutcome, SimError> {
-        let Simulator { plan, shard } = self;
-        let tables = InjectTables::new(plan.topo, matrix);
-        let workload = Workload::Synthetic {
-            tables: &tables,
-            warmup,
-            measure,
-            seed,
-        };
-        let start = RunCursor::fresh(&workload);
-        finish_or_pause(&plan, vec![shard], 1, workload, start, stop_at, || {
-            synthetic_fingerprint(warmup, measure, seed)
-        })
+        self.into_sharded(false)
+            .run_synthetic_until(matrix, warmup, measure, seed, stop_at)
     }
 
     /// Resumes a paused synthetic run to completion. The snapshot must
@@ -457,39 +385,9 @@ impl<'a> Simulator<'a> {
         measure: u64,
         seed: u64,
     ) -> Result<SimStats, SimError> {
-        let Simulator { plan, .. } = self;
-        let tables = InjectTables::new(plan.topo, matrix);
-        let (shards, cursor) =
-            restore_shards(&plan, snap, synthetic_fingerprint(warmup, measure, seed))?;
-        let workload = Workload::Synthetic {
-            tables: &tables,
-            warmup,
-            measure,
-            seed,
-        };
-        Ok(finish_or_pause(&plan, shards, 1, workload, cursor, u64::MAX, || 0)?.expect_finished())
+        self.into_sharded(false)
+            .resume_synthetic(snap, matrix, warmup, measure, seed)
     }
-}
-
-/// Shared tail of every bounded run: drive the engine, then either merge
-/// final statistics or serialize the pause snapshot (fingerprinting the
-/// workload via `workload_hash`, evaluated only on pause).
-pub(crate) fn finish_or_pause(
-    plan: &EnginePlan<'_>,
-    mut shards: Vec<ShardState>,
-    threads: usize,
-    workload: Workload<'_>,
-    start: RunCursor,
-    stop_at: u64,
-    workload_hash: impl FnOnce() -> u64,
-) -> Result<RunOutcome, SimError> {
-    let end = run_sharded_until(plan, &mut shards, threads, workload, false, start, stop_at)?;
-    Ok(match end {
-        RunEnd::Done(cycles) => RunOutcome::Finished(merge_stats(plan, &shards, cycles)),
-        RunEnd::Stopped(cursor) => {
-            RunOutcome::Paused(snapshot_shards(plan, &shards, &cursor, workload_hash()))
-        }
-    })
 }
 
 #[cfg(test)]

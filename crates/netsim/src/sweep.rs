@@ -1,8 +1,8 @@
 //! Load sweeps, saturation search, and the parallel batch runner.
 //!
 //! The paper's headline results are latency-vs-load curves and saturation
-//! throughput; this module turns the single-run [`Simulator`] into a
-//! batch instrument:
+//! throughput; this module turns the single-run
+//! [`Simulator`](crate::Simulator) into a batch instrument:
 //!
 //! * [`parallel_map`] — the workspace's scoped-thread fan-out (moved here
 //!   from `hyppi-analytic`, which re-exports it, so the simulator crate
@@ -27,10 +27,11 @@
 //! seed)** instead of once per rate-grid point: it runs the anchor
 //! matrix (the pattern at [`SweepConfig::zero_load_rate`]) up to the
 //! warm-up boundary, snapshots the engine there
-//! ([`Simulator::run_synthetic_until`]), and resumes that [`Snapshot`]
-//! for every probed rate — the measurement window then runs under the
-//! point's own matrix (the snapshot workload fingerprint deliberately
-//! excludes the matrix to permit exactly this rate switch). Anchors are
+//! ([`Simulator::run_synthetic_until`](crate::Simulator::run_synthetic_until)),
+//! and resumes that [`Snapshot`] for every probed rate — the
+//! measurement window then runs under the point's own matrix (the
+//! snapshot workload fingerprint deliberately excludes the matrix to
+//! permit exactly this rate switch). Anchors are
 //! cached per pattern inside the runner, so a grid and the saturation
 //! bisection that follows share them. [`SweepConfig::cold`] restores
 //! the one-warm-up-per-point protocol; [`SweepRunner::run_point`] is
@@ -46,7 +47,7 @@
 
 use crate::config::SimConfig;
 use crate::shard::ShardedSimulator;
-use crate::sim::{RunOutcome, SimError, Simulator};
+use crate::sim::{RunOutcome, SimError};
 use crate::snapshot::Snapshot;
 use crate::stats::{LatencyStats, SimStats};
 use crate::telemetry::Probe;
@@ -357,8 +358,9 @@ pub struct LoadCurve {
     pub saturation: SaturationSearch,
 }
 
-/// Batch runner: fans independent [`Simulator`] runs over a rate grid ×
-/// seed matrix via [`parallel_map`] and reduces them to [`LoadPoint`]s.
+/// Batch runner: fans independent [`Simulator`](crate::Simulator) runs
+/// over a rate grid × seed matrix via [`parallel_map`] and reduces them
+/// to [`LoadPoint`]s.
 ///
 /// The traffic pattern is supplied as a rate → [`TrafficMatrix`] generator
 /// (see `hyppi_traffic::SyntheticPattern`), so the same runner sweeps
@@ -452,39 +454,35 @@ impl<'a> SweepRunner<'a> {
         &self.cfg
     }
 
-    fn run_one(&self, matrix: &TrafficMatrix, seed: u64) -> Result<SimStats, SimError> {
-        // Faulted sweeps simulate the faulted pair with the healthy pair
-        // as the rerouted-hops baseline; healthy sweeps run as given.
-        let (topo, routes, baseline) = match &self.faulted {
-            Some((t, r)) => (t, r, Some((self.topo, self.routes))),
-            None => (self.topo, self.routes, None),
+    /// A fresh engine for one run of this sweep. Faulted sweeps simulate
+    /// the faulted pair with the healthy pair as the rerouted-hops
+    /// baseline; healthy sweeps run as given. `shards = 1` builds the
+    /// single-shard partition, the same engine as [`crate::Simulator`].
+    fn engine(&self) -> ShardedSimulator<'_> {
+        let (topo, routes) = match &self.faulted {
+            Some((t, r)) => (t, r),
+            None => (self.topo, self.routes),
         };
-        if self.cfg.shards > 1 {
-            let mut sim = ShardedSimulator::new(
-                topo,
-                routes,
-                self.sim,
-                ShardSpec::for_count(self.cfg.shards),
-            )
-            .with_threads(self.cfg.threads)
-            .with_lookahead(self.cfg.lookahead);
-            if let Some((bt, br)) = baseline {
-                sim = sim.with_baseline(bt, br);
-            }
-            if let Some(tm) = &self.tenant_map {
-                sim = sim.with_tenants(tm);
-            }
-            sim.run_synthetic(matrix, self.cfg.warmup, self.cfg.measure, seed)
-        } else {
-            let mut sim = Simulator::new(topo, routes, self.sim);
-            if let Some((bt, br)) = baseline {
-                sim = sim.with_baseline(bt, br);
-            }
-            if let Some(tm) = &self.tenant_map {
-                sim = sim.with_tenants(tm);
-            }
-            sim.run_synthetic(matrix, self.cfg.warmup, self.cfg.measure, seed)
+        let mut sim = ShardedSimulator::new(
+            topo,
+            routes,
+            self.sim,
+            ShardSpec::for_count(self.cfg.shards),
+        )
+        .with_threads(self.cfg.threads)
+        .with_lookahead(self.cfg.lookahead);
+        if self.faulted.is_some() {
+            sim = sim.with_baseline(self.topo, self.routes);
         }
+        if let Some(tm) = &self.tenant_map {
+            sim = sim.with_tenants(tm);
+        }
+        sim
+    }
+
+    fn run_one(&self, matrix: &TrafficMatrix, seed: u64) -> Result<SimStats, SimError> {
+        self.engine()
+            .run_synthetic(matrix, self.cfg.warmup, self.cfg.measure, seed)
     }
 
     /// Like [`run_one`](Self::run_one) but pausing at the cycle
@@ -495,37 +493,9 @@ impl<'a> SweepRunner<'a> {
         seed: u64,
         stop_at: u64,
     ) -> Result<RunOutcome, SimError> {
-        let (topo, routes, baseline) = match &self.faulted {
-            Some((t, r)) => (t, r, Some((self.topo, self.routes))),
-            None => (self.topo, self.routes, None),
-        };
         let (warmup, measure) = (self.cfg.warmup, self.cfg.measure);
-        if self.cfg.shards > 1 {
-            let mut sim = ShardedSimulator::new(
-                topo,
-                routes,
-                self.sim,
-                ShardSpec::for_count(self.cfg.shards),
-            )
-            .with_threads(self.cfg.threads)
-            .with_lookahead(self.cfg.lookahead);
-            if let Some((bt, br)) = baseline {
-                sim = sim.with_baseline(bt, br);
-            }
-            if let Some(tm) = &self.tenant_map {
-                sim = sim.with_tenants(tm);
-            }
-            sim.run_synthetic_until(matrix, warmup, measure, seed, stop_at)
-        } else {
-            let mut sim = Simulator::new(topo, routes, self.sim);
-            if let Some((bt, br)) = baseline {
-                sim = sim.with_baseline(bt, br);
-            }
-            if let Some(tm) = &self.tenant_map {
-                sim = sim.with_tenants(tm);
-            }
-            sim.run_synthetic_until(matrix, warmup, measure, seed, stop_at)
-        }
+        self.engine()
+            .run_synthetic_until(matrix, warmup, measure, seed, stop_at)
     }
 
     /// Resumes one seed's anchor snapshot under `matrix` — the
@@ -536,37 +506,9 @@ impl<'a> SweepRunner<'a> {
         matrix: &TrafficMatrix,
         seed: u64,
     ) -> Result<SimStats, SimError> {
-        let (topo, routes, baseline) = match &self.faulted {
-            Some((t, r)) => (t, r, Some((self.topo, self.routes))),
-            None => (self.topo, self.routes, None),
-        };
         let (warmup, measure) = (self.cfg.warmup, self.cfg.measure);
-        if self.cfg.shards > 1 {
-            let mut sim = ShardedSimulator::new(
-                topo,
-                routes,
-                self.sim,
-                ShardSpec::for_count(self.cfg.shards),
-            )
-            .with_threads(self.cfg.threads)
-            .with_lookahead(self.cfg.lookahead);
-            if let Some((bt, br)) = baseline {
-                sim = sim.with_baseline(bt, br);
-            }
-            if let Some(tm) = &self.tenant_map {
-                sim = sim.with_tenants(tm);
-            }
-            sim.resume_synthetic(snap, matrix, warmup, measure, seed)
-        } else {
-            let mut sim = Simulator::new(topo, routes, self.sim);
-            if let Some((bt, br)) = baseline {
-                sim = sim.with_baseline(bt, br);
-            }
-            if let Some(tm) = &self.tenant_map {
-                sim = sim.with_tenants(tm);
-            }
-            sim.resume_synthetic(snap, matrix, warmup, measure, seed)
-        }
+        self.engine()
+            .resume_synthetic(snap, matrix, warmup, measure, seed)
     }
 
     /// Returns the pattern's per-seed anchor snapshots (building and
@@ -723,36 +665,9 @@ impl<'a> SweepRunner<'a> {
         seed: u64,
         probe: &mut P,
     ) -> Result<SimStats, SimError> {
-        let (topo, routes, baseline) = match &self.faulted {
-            Some((t, r)) => (t, r, Some((self.topo, self.routes))),
-            None => (self.topo, self.routes, None),
-        };
-        if self.cfg.shards > 1 {
-            let mut sim = ShardedSimulator::new(
-                topo,
-                routes,
-                self.sim,
-                ShardSpec::for_count(self.cfg.shards),
-            )
-            .with_threads(self.cfg.threads)
-            .with_lookahead(self.cfg.lookahead);
-            if let Some((bt, br)) = baseline {
-                sim = sim.with_baseline(bt, br);
-            }
-            if let Some(tm) = &self.tenant_map {
-                sim = sim.with_tenants(tm);
-            }
-            sim.run_synthetic_probed(matrix, self.cfg.warmup, self.cfg.measure, seed, probe)
-        } else {
-            let mut sim = Simulator::new(topo, routes, self.sim);
-            if let Some((bt, br)) = baseline {
-                sim = sim.with_baseline(bt, br);
-            }
-            if let Some(tm) = &self.tenant_map {
-                sim = sim.with_tenants(tm);
-            }
-            sim.run_synthetic_probed(matrix, self.cfg.warmup, self.cfg.measure, seed, probe)
-        }
+        let (warmup, measure) = (self.cfg.warmup, self.cfg.measure);
+        self.engine()
+            .run_synthetic_probed(matrix, warmup, measure, seed, probe)
     }
 
     /// Sweeps a rate grid: all (rate × seed) runs fan out across threads

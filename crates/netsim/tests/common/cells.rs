@@ -27,7 +27,7 @@
 //! mode under `cargo test -q`.
 
 use hyppi_netsim::{
-    FlightRecorder, ReferenceSimulator, RunOutcome, ShardedSimulator, SimConfig, SimStats,
+    FlightRecorder, Probe, ReferenceSimulator, RunOutcome, ShardedSimulator, SimConfig, SimStats,
     Simulator,
 };
 use hyppi_phys::{Gbps, LinkTechnology};
@@ -368,10 +368,8 @@ impl Cell {
         }
     }
 
-    /// Runs the cell on the P=1 engine with the full flight recorder
-    /// attached, returning the stats and the recorder.
-    pub fn run_single_probed(&self) -> (SimStats, FlightRecorder) {
-        let mut rec = FlightRecorder::new().with_metrics(50).with_trace(100_000);
+    /// Runs the cell on the P=1 engine with `probe` attached.
+    pub fn run_single_with<P: Probe>(&self, probe: &mut P) -> SimStats {
         let mut sim = Simulator::new(&self.topo, &self.routes, self.cfg);
         if let Some((h, hr)) = &self.baseline {
             sim = sim.with_baseline(h, hr);
@@ -379,34 +377,47 @@ impl Cell {
         if let Some((_, map)) = &self.tenants {
             sim = sim.with_tenants(map);
         }
-        let stats = match self.workload {
+        match self.workload {
             CellWorkload::Trace { .. } => sim
-                .run_trace_probed(&self.trace().expect("trace cell"), &mut rec)
+                .run_trace_probed(&self.trace().expect("trace cell"), probe)
                 .expect("probed run completes"),
             CellWorkload::Synthetic { .. } => {
                 let (m, seed) = self.matrix().expect("synthetic cell");
-                sim.run_synthetic_probed(&m, WARMUP, MEASURE, seed, &mut rec)
+                sim.run_synthetic_probed(&m, WARMUP, MEASURE, seed, probe)
                     .expect("probed run completes")
             }
-        };
+        }
+    }
+
+    /// Runs the cell on the sharded engine with `probe` attached (probed
+    /// sharded runs are forced single-worker).
+    pub fn run_sharded_with<P: Probe>(&self, spec: ShardSpec, probe: &mut P) -> SimStats {
+        let sim = self.sharded(spec, 0);
+        match self.workload {
+            CellWorkload::Trace { .. } => sim
+                .run_trace_probed(&self.trace().expect("trace cell"), probe)
+                .expect("probed run completes"),
+            CellWorkload::Synthetic { .. } => {
+                let (m, seed) = self.matrix().expect("synthetic cell");
+                sim.run_synthetic_probed(&m, WARMUP, MEASURE, seed, probe)
+                    .expect("probed run completes")
+            }
+        }
+    }
+
+    /// Runs the cell on the P=1 engine with the full flight recorder
+    /// attached, returning the stats and the recorder.
+    pub fn run_single_probed(&self) -> (SimStats, FlightRecorder) {
+        let mut rec = FlightRecorder::new().with_metrics(50).with_trace(100_000);
+        let stats = self.run_single_with(&mut rec);
         (stats, rec)
     }
 
     /// Runs the cell on the sharded engine with the flight recorder
-    /// attached (probed sharded runs are forced single-worker).
+    /// attached.
     pub fn run_sharded_probed(&self, spec: ShardSpec) -> (SimStats, FlightRecorder) {
         let mut rec = FlightRecorder::new().with_metrics(50).with_trace(100_000);
-        let sim = self.sharded(spec, 0);
-        let stats = match self.workload {
-            CellWorkload::Trace { .. } => sim
-                .run_trace_probed(&self.trace().expect("trace cell"), &mut rec)
-                .expect("probed run completes"),
-            CellWorkload::Synthetic { .. } => {
-                let (m, seed) = self.matrix().expect("synthetic cell");
-                sim.run_synthetic_probed(&m, WARMUP, MEASURE, seed, &mut rec)
-                    .expect("probed run completes")
-            }
-        };
+        let stats = self.run_sharded_with(spec, &mut rec);
         (stats, rec)
     }
 }

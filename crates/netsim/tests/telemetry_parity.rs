@@ -16,7 +16,9 @@ mod common;
 
 use common::cells;
 use hyppi_netsim::telemetry::PacketEventKind;
-use hyppi_netsim::{FlightRecorder, ShardedSimulator, SimConfig, Simulator};
+use hyppi_netsim::{
+    FlightRecorder, MetricsSampler, ShardedSimulator, SimConfig, Simulator, StallCause,
+};
 use hyppi_phys::{Gbps, LinkTechnology};
 use hyppi_topology::{
     express_mesh, ExpressSpec, FaultSpec, MeshSpec, NodeId, RoutingTable, ShardSpec, Topology,
@@ -31,8 +33,8 @@ fn grid(w: u16, h: u16) -> Topology {
 /// The unified cell catalog (`tests/common/cells.rs`): a fully-probed
 /// run of every cell must equal the plain run bit-for-bit, on the P=1
 /// engine and on the sharded engine (probed runs are single-worker and
-/// per-cycle — windows would batch what the probe observes, so the
-/// windowed cells also pin the probe-forces-classic dispatch).
+/// clamp the window to one cycle — wider windows would batch what the
+/// probe observes, so the W=2 cells also pin that clamp).
 #[test]
 fn catalog_probed_runs_match_plain() {
     for cell in cells::catalog() {
@@ -46,6 +48,69 @@ fn catalog_probed_runs_match_plain() {
         let (sharded, _) = cell.run_sharded_probed(ShardSpec { sx: 2, sy: 1 });
         assert_eq!(sharded, plain, "{}: probed sharded diverged", cell.name);
     }
+}
+
+/// The admission hook: every pair dropped for want of a route fires one
+/// `on_stall(NoRoute)`, so on every catalog cell with admission drops
+/// (dead routers) the sampler's summed `no_route` stalls equal
+/// `SimStats::unreachable_pairs` — on the P=1 engine and on a probed
+/// 2×1 sharded engine alike. The sampler records every cycle, and
+/// every drop in these cells lands on a stepped cycle, so no stall
+/// is left in an unflushed partial interval.
+#[test]
+fn no_route_stalls_match_unreachable_pairs() {
+    let no_route = StallCause::ALL
+        .iter()
+        .position(|&c| c == StallCause::NoRoute)
+        .expect("NoRoute is a cause");
+    let summed = |sampler: &MetricsSampler| -> u64 {
+        sampler.samples().iter().map(|s| s.stalls[no_route]).sum()
+    };
+    let mut checked = 0;
+    for cell in cells::catalog() {
+        let mut sampler = MetricsSampler::new(1);
+        let single = cell.run_single_with(&mut sampler);
+        if single.unreachable_pairs == 0 {
+            continue;
+        }
+        assert_eq!(
+            summed(&sampler),
+            single.unreachable_pairs,
+            "{}: P=1 no-route stalls",
+            cell.name
+        );
+        let mut sampler = MetricsSampler::new(1);
+        let sharded = cell.run_sharded_with(ShardSpec { sx: 2, sy: 1 }, &mut sampler);
+        assert_eq!(sharded, single, "{}: probed sharded diverged", cell.name);
+        assert_eq!(
+            summed(&sampler),
+            sharded.unreachable_pairs,
+            "{}: sharded no-route stalls",
+            cell.name
+        );
+        checked += 1;
+    }
+    assert!(checked > 0, "no catalog cell drops pairs at admission");
+}
+
+/// A single-shard run takes the loop's one-shard fast path: no mailbox
+/// exchange and no barrier, so the profile records zero barrier time.
+#[test]
+fn single_shard_run_never_syncs() {
+    let topo = grid(6, 6);
+    let routes = RoutingTable::compute_xy(&topo);
+    let trace = cells::fixture_trace(&topo, 3, 200);
+    let plain = Simulator::new(&topo, &routes, SimConfig::paper())
+        .run_trace(&trace)
+        .expect("plain run completes");
+    let (profiled, prof) =
+        ShardedSimulator::new(&topo, &routes, SimConfig::paper(), ShardSpec::SINGLE)
+            .run_trace_profiled(&trace)
+            .expect("profiled run completes");
+    assert_eq!(profiled, plain);
+    assert_eq!(prof.workers, 1);
+    assert!(prof.supersteps > 0);
+    assert_eq!(prof.barrier_ns, 0);
 }
 
 proptest! {
