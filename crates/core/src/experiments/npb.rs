@@ -9,8 +9,8 @@
 use crate::table::TextTable;
 use hyppi_analytic::{dynamic_energy_joules, parallel_map, NocModel};
 use hyppi_netsim::{
-    EnergyCounts, NoopProbe, Probe, RunOutcome, ShardedSimulator, SimConfig, SimError, Simulator,
-    Snapshot, TelemetryOpts,
+    EnergyCounts, NoopProbe, Probe, RunOpts, RunOutcome, ShardedSimulator, SimConfig, SimError,
+    Simulator, Snapshot, TelemetryOpts, Workload,
 };
 use hyppi_phys::{Gbps, LinkTechnology};
 use hyppi_topology::{express_mesh, mesh, ExpressSpec, MeshSpec, RoutingTable, Topology};
@@ -196,8 +196,9 @@ pub fn npb32_cell_probed<P: Probe>(
         .run_trace(trace)
         .expect("P=1 engine completes the scaled NPB window");
     let sharded = ShardedSimulator::with_shard_count(&topo, &routes, cfg, shards)
-        .run_trace_probed(trace, probe)
-        .expect("sharded engine completes the scaled NPB window");
+        .run(Workload::Trace(trace), RunOpts::default(), probe)
+        .expect("sharded engine completes the scaled NPB window")
+        .expect_finished();
     assert_eq!(sharded, single, "{kernel} 32x32: shard parity violated");
     Npb32Cell {
         kernel,
@@ -257,8 +258,12 @@ pub fn npb32_save(kernel: NpbKernel, shards: usize) -> (Snapshot, u64) {
     let stop = trace.events.last().map(|e| e.cycle / 2).unwrap_or(0).max(1);
     let topo = mesh32();
     let routes = RoutingTable::compute_xy(&topo);
+    let until = RunOpts {
+        stop_at: stop,
+        ..RunOpts::default()
+    };
     let outcome = ShardedSimulator::with_shard_count(&topo, &routes, npb32_config(), shards)
-        .run_trace_until(&trace, stop)
+        .run(Workload::Trace(&trace), until, &mut NoopProbe)
         .expect("scaled NPB window simulates");
     match outcome {
         RunOutcome::Paused(snap) => (snap, stop),
@@ -280,8 +285,13 @@ pub fn npb32_resume(
     let trace = ScaledNpbSpec::mesh32(kernel).default_window();
     let topo = mesh32();
     let routes = RoutingTable::compute_xy(&topo);
+    let resume = RunOpts {
+        resume: Some(snap),
+        ..RunOpts::default()
+    };
     let stats = ShardedSimulator::with_shard_count(&topo, &routes, npb32_config(), shards)
-        .resume_trace(snap, &trace)?;
+        .run(Workload::Trace(&trace), resume, &mut NoopProbe)?
+        .expect_finished();
     Ok(Npb32Cell {
         kernel,
         shards,
@@ -455,13 +465,23 @@ mod tests {
         let topo = mesh32();
         let routes = RoutingTable::compute_xy(&topo);
         let stop = trace.events.last().expect("slice is non-empty").cycle / 2 + 1;
+        let workload = Workload::Trace(&trace);
+        let until = RunOpts {
+            stop_at: stop,
+            ..RunOpts::default()
+        };
         let snap = ShardedSimulator::with_shard_count(&topo, &routes, npb32_config(), 4)
-            .run_trace_until(&trace, stop)
+            .run(workload, until, &mut NoopProbe)
             .expect("slice simulates")
             .expect_paused();
+        let resume = RunOpts {
+            resume: Some(&snap),
+            ..RunOpts::default()
+        };
         let resumed = ShardedSimulator::with_shard_count(&topo, &routes, npb32_config(), 1)
-            .resume_trace(&snap, &trace)
-            .expect("resume completes");
+            .run(workload, resume, &mut NoopProbe)
+            .expect("resume completes")
+            .expect_finished();
         let whole = Simulator::new(&topo, &routes, npb32_config())
             .run_trace(&trace)
             .expect("whole run completes");

@@ -3,14 +3,15 @@
 //! Runs the configuration that deadlocks a stock 4-VC wormhole router —
 //! the span-15 express mesh (whose minimal routes wrap around each row)
 //! under the FT all-to-all window. With the express-dateline VC
-//! discipline the run completes; `run_trace_debug` would print a
-//! wait-for-graph cycle to stderr if it ever stopped doing so.
+//! discipline the run completes; the run's `RunOpts::dump_on_stall`
+//! would print a wait-for-graph cycle to stderr if it ever stopped doing
+//! so.
 //!
 //! ```sh
 //! cargo run --release -p hyppi-netsim --example deadlock_debug
 //! ```
 
-use hyppi_netsim::{SimConfig, Simulator};
+use hyppi_netsim::{NoopProbe, RunOpts, SimConfig, Simulator, Workload};
 use hyppi_phys::LinkTechnology;
 use hyppi_topology::{express_mesh, ExpressSpec, MeshSpec, RoutingTable};
 use hyppi_traffic::{NpbKernel, NpbTraceSpec};
@@ -27,7 +28,13 @@ fn main() {
     let routes = RoutingTable::compute_xy(&topo);
     let mut cfg = SimConfig::paper();
     cfg.max_cycles = 2_000_000;
-    match Simulator::new(&topo, &routes, cfg).run_trace_debug(&trace) {
+    let opts = RunOpts {
+        dump_on_stall: true,
+        ..RunOpts::default()
+    };
+    let run =
+        Simulator::new(&topo, &routes, cfg).run(Workload::Trace(&trace), opts, &mut NoopProbe);
+    match run.map(|out| out.expect_finished()) {
         Ok(s) => println!(
             "ok: {} packets, mean latency {:.2} clks (no deadlock)",
             s.all.count,

@@ -64,8 +64,9 @@
 
 use hyppi_netsim::json::{Json, Obj};
 use hyppi_netsim::{
-    EngineProfile, FlightRecorder, NoopProbe, ReferenceSimulator, ShardedSimulator, SimConfig,
-    SimStats, Simulator, SweepConfig, SweepRunner, TelemetryOpts,
+    EngineProfile, FlightRecorder, NoopProbe, ProfileSink, ReferenceSimulator, RunOpts,
+    ShardedSimulator, SimConfig, SimStats, Simulator, SweepConfig, SweepRunner, TelemetryOpts,
+    Workload,
 };
 use hyppi_phys::{Gbps, LinkTechnology};
 use hyppi_topology::{
@@ -1175,19 +1176,25 @@ fn run_lookahead_section(quick: bool, shards: usize) -> Vec<LookaheadRecord> {
 
         // Barrier share per-cycle vs windowed, profiled at the CLI's
         // --shards count on the threaded engine.
-        let (per_cycle_stats, per_cycle) =
-            ShardedSimulator::new(&topo, &routes, cfg, ShardSpec::for_count(shards))
-                .with_lookahead(1)
-                .run_trace_profiled(&trace)
-                .expect("per-cycle profiled run completes");
+        let profiled = |window: u64| {
+            let sink = ProfileSink::new();
+            let opts = RunOpts {
+                profile: Some(&sink),
+                ..RunOpts::default()
+            };
+            let stats = ShardedSimulator::new(&topo, &routes, cfg, ShardSpec::for_count(shards))
+                .with_lookahead(window)
+                .run(Workload::Trace(&trace), opts, &mut NoopProbe)
+                .expect("profiled run completes")
+                .expect_finished();
+            (stats, sink.profile())
+        };
+        let (per_cycle_stats, per_cycle) = profiled(1);
         assert_eq!(
             per_cycle_stats, single,
             "{label}: per-cycle parity violated"
         );
-        let (windowed_stats, windowed) =
-            ShardedSimulator::new(&topo, &routes, cfg, ShardSpec::for_count(shards))
-                .run_trace_profiled(&trace)
-                .expect("windowed profiled run completes");
+        let (windowed_stats, windowed) = profiled(0);
         assert_eq!(windowed_stats, single, "{label}: windowed parity violated");
         assert!(
             windowed.supersteps < per_cycle.supersteps,
@@ -1414,13 +1421,25 @@ fn run_snapshot_section(quick: bool, fast: bool) -> SnapshotRecord {
         .run_synthetic_until(&m, warmup, measure, seeds[0], split)
         .expect("run to the split cycle completes")
         .expect_paused();
+    let workload = Workload::Synthetic {
+        matrix: &m,
+        warmup,
+        measure,
+        seed: seeds[0],
+    };
+    let resume = RunOpts {
+        resume: Some(&snap),
+        ..RunOpts::default()
+    };
     let resumed = Simulator::new(&topo, &routes, cfg)
-        .resume_synthetic(&snap, &m, warmup, measure, seeds[0])
-        .expect("active-set resume completes");
+        .run(workload, resume, &mut NoopProbe)
+        .expect("active-set resume completes")
+        .expect_finished();
     assert_eq!(resumed, whole, "snapshot splice parity violated");
     let sharded = ShardedSimulator::new(&topo, &routes, cfg, ShardSpec::quadrants())
-        .resume_synthetic(&snap, &m, warmup, measure, seeds[0])
-        .expect("sharded resume completes");
+        .run(workload, resume, &mut NoopProbe)
+        .expect("sharded resume completes")
+        .expect_finished();
     assert_eq!(sharded, whole, "snapshot shard-restore parity violated");
     if !fast {
         let reference = ReferenceSimulator::new(&topo, &routes, cfg)

@@ -59,11 +59,14 @@
 //!
 //! ## Entry points
 //!
-//! [`Simulator::run_trace`] drives a [`hyppi_traffic::Trace`] to completion
-//! and returns [`SimStats`] (per-packet latency statistics plus per-link and
-//! per-router flit counts for energy accounting). [`Simulator::run_synthetic`]
-//! injects Bernoulli traffic from a [`hyppi_traffic::TrafficMatrix`] for a
-//! fixed warm-up + measurement window, used for load-latency curves.
+//! [`Simulator::run`] runs a [`Workload`] — a [`hyppi_traffic::Trace`], or
+//! Bernoulli traffic from a [`hyppi_traffic::TrafficMatrix`] over a fixed
+//! warm-up + measurement window (load-latency curves) — under
+//! [`RunOpts`] (pause, resume, profile, stall dump) with a telemetry
+//! [`Probe`], and returns a [`RunOutcome`]. [`Simulator::run_trace`] and
+//! [`Simulator::run_synthetic`] are its run-to-completion shorthands,
+//! returning [`SimStats`] (per-packet latency statistics plus per-link
+//! and per-router flit counts for energy accounting).
 //!
 //! ## The sharded parallel engine
 //!
@@ -141,9 +144,11 @@
 //! [`ReferenceSimulator`] for parity checks; per-(link, VC) credits are
 //! derived at import rather than stored, and the latency-1 calendar
 //! bypass is stripped at export. Entry points: `snapshot`/`restore` on
-//! all three engines, `run_trace_until`/`run_synthetic_until` (pause
-//! mid-run, returning [`RunOutcome::Paused`]), and
-//! `resume_trace`/`resume_synthetic`. `tests/snapshot_parity.rs` pins
+//! all three engines, and on the active engines the one run method
+//! [`Simulator::run`] / [`ShardedSimulator::run`]: [`RunOpts::stop_at`]
+//! pauses mid-run, returning [`RunOutcome::Paused`], and
+//! [`RunOpts::resume`] continues from a snapshot. Decoding untrusted
+//! bytes returns a [`SnapshotError`], never panics. `tests/snapshot_parity.rs` pins
 //! the splice across open/closed-loop, express, faulted and shard-cut
 //! cells. The byte-level layout, the fingerprint mismatch rules, and
 //! the restore-equals-continue argument live in the workspace-root
@@ -153,14 +158,14 @@
 //!
 //! The [`telemetry`] module observes the active engine without
 //! perturbing it: the [`Probe`] trait is a compile-time hook threaded
-//! through both active engines (`run_*_probed`), whose sites vanish for
-//! the default [`NoopProbe`] (`ENABLED = false`). Instruments:
+//! through both active engines (the `probe` argument of `run`), whose
+//! sites vanish for the default [`NoopProbe`] (`ENABLED = false`). Instruments:
 //! [`MetricsSampler`] (per-interval time series — flits, link
 //! utilization, stall breakdown, VC/calendar occupancy, mailbox volume,
 //! closed-loop backpressure), [`PacketTracer`] (ring-buffered packet
 //! lifecycle events, JSONL or Chrome `trace_event` export), and
-//! [`EngineProfile`] (superstep step/exchange/barrier wall time from
-//! `run_*_profiled`). `reference.rs` carries no hooks;
+//! [`EngineProfile`] (superstep step/exchange/barrier wall time of a
+//! run given a [`ProfileSink`] as [`RunOpts::profile`]). `reference.rs` carries no hooks;
 //! `tests/telemetry_parity.rs` pins probed == plain [`SimStats`]
 //! bit-for-bit. Schema and usage live in the workspace-root
 //! [`docs/OBSERVABILITY.md`](../../../docs/OBSERVABILITY.md).
@@ -182,7 +187,7 @@ pub use config::SimConfig;
 pub use energy_counts::EnergyCounts;
 pub use reference::ReferenceSimulator;
 pub use shard::ShardedSimulator;
-pub use sim::{RunOutcome, SimError, Simulator};
+pub use sim::{RunOpts, RunOutcome, SimError, Simulator, Workload};
 pub use snapshot::{Snapshot, SnapshotError};
 pub use stats::{LatencyStats, SimStats, TenantStats};
 pub use sweep::{

@@ -331,7 +331,7 @@ impl<'a> ReferenceSimulator<'a> {
     }
 
     /// Runs a trace, pausing at the cycle boundary `stop_at`; the seed
-    /// engine's twin of [`crate::Simulator::run_trace_until`].
+    /// engine's twin of [`crate::Simulator::run`] with [`crate::RunOpts::stop_at`].
     pub fn run_trace_until(self, trace: &Trace, stop_at: u64) -> Result<RunOutcome, SimError> {
         self.run_trace_span(trace, RunCursor::fresh_for_trace(), stop_at)
     }
@@ -476,7 +476,7 @@ impl<'a> ReferenceSimulator<'a> {
 
     /// Resumes a paused synthetic run to completion; same
     /// workload-fingerprint rules as
-    /// [`crate::Simulator::resume_synthetic`] (the traffic matrix is
+    /// [`crate::Simulator::run`] with [`crate::RunOpts::resume`] (the traffic matrix is
     /// deliberately not pinned — warm-start rate sweeps resume one
     /// post-warmup snapshot under many matrices).
     pub fn resume_synthetic(

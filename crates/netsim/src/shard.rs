@@ -112,7 +112,7 @@
 use crate::config::SimConfig;
 use crate::flit::{meta, Flit, PacketInfo};
 use crate::router::{Emission, NodeState};
-use crate::sim::{rescan_trace_cursor, restore_shards, RunOutcome, SimError};
+use crate::sim::{rescan_trace_cursor, restore_shards, RunOpts, RunOutcome, SimError, Workload};
 use crate::snapshot::{
     synthetic_fingerprint, trace_fingerprint, EmissionImage, EventImage, FlitImage, GlobalState,
     NodeImage, PacketImage, SlotImage, Snapshot, SnapshotError,
@@ -2105,7 +2105,9 @@ impl ShardState {
 // ---- workloads ----------------------------------------------------------
 
 /// Precomputed per-node injection rates and destination CDFs of a
-/// synthetic run (prefix-sum tables, binary-searched per draw).
+/// synthetic run (prefix-sum tables, binary-searched per draw); empty
+/// for trace runs.
+#[derive(Default)]
 pub(crate) struct InjectTables {
     rates: Vec<f64>,
     cdf_acc: Vec<Vec<f64>>,
@@ -2188,20 +2190,6 @@ impl InjectTables {
             }
         }
     }
-}
-
-/// One run's traffic source, shared read-only across workers.
-#[derive(Clone, Copy)]
-enum Workload<'w> {
-    /// Trace-driven admission.
-    Trace(&'w Trace),
-    /// Bernoulli synthetic injection (1-flit packets).
-    Synthetic {
-        tables: &'w InjectTables,
-        warmup: u64,
-        measure: u64,
-        seed: u64,
-    },
 }
 
 // ---- the lockstep worker loop ------------------------------------------
@@ -2329,23 +2317,23 @@ fn lap(mark: &mut Option<std::time::Instant>) -> u64 {
 ///
 /// The probe observes this worker's shards only; probed runs are
 /// single-worker (see [`run_shards`]) so one probe sees everything.
-/// `prof`, when set, receives this worker's superstep phase times (step /
-/// exchange / barrier) on exit.
+/// `opts.profile`, when set, receives this worker's superstep phase
+/// times (step / exchange / barrier) on exit.
 #[allow(clippy::too_many_arguments)]
 fn worker_loop_windowed<P: Probe>(
     plan: &EnginePlan<'_>,
     shared: &Shared,
     my: &mut [ShardState],
     workload: Workload<'_>,
-    dump_on_stall: bool,
+    tables: &InjectTables,
     worker_index: usize,
     start: RunCursor,
-    stop_at: u64,
+    opts: &RunOpts<'_>,
     probe: &mut P,
-    prof: Option<&ProfileSink>,
 ) -> Result<RunEnd, SimError> {
+    let stop_at = opts.stop_at;
     let mut acc = ProfFlush {
-        sink: prof,
+        sink: opts.profile,
         step_ns: 0,
         exchange_ns: 0,
         barrier_ns: 0,
@@ -2420,7 +2408,7 @@ fn worker_loop_windowed<P: Probe>(
         if ran_window && t > plan.cfg.max_cycles {
             // Windows clamp at `max_cycles + 1`, so `t` lands exactly
             // on the first cycle past the limit.
-            if dump_on_stall {
+            if opts.dump_on_stall {
                 for s in my.iter() {
                     s.dump_blocked(plan, t);
                 }
@@ -2538,7 +2526,7 @@ fn worker_loop_windowed<P: Probe>(
                             }
                         }
                     }
-                    Workload::Synthetic { tables, warmup, .. } => {
+                    Workload::Synthetic { warmup, .. } => {
                         if u < inject_end {
                             // The injection window always steps.
                             must_step = true;
@@ -2681,34 +2669,34 @@ fn worker_loop_windowed<P: Probe>(
 }
 
 /// Runs a workload over `shards` from `start` until it drains or
-/// `stop_at` is reached, with up to `threads` worker threads — the one
-/// driver behind every `run_*` entry point. `threads == 1` runs
-/// everything on the calling thread (still exchanging through the
-/// mailbox grid when P > 1 — the protocol is identical, only the
-/// parallelism differs). A run with a real probe (`P::ENABLED`) is
-/// forced single-worker so one probe instance observes every shard of
-/// every cycle — statistics are bit-for-bit independent of the worker
-/// count, so this only affects wall clock. `prof`, when set, collects
-/// superstep phase times from all workers (profiling uses atomics, so it
-/// composes with threading). The shards are left in their end-of-run
-/// state so the caller can snapshot or merge them.
+/// `opts.stop_at` is reached, with up to `threads` worker threads (0 =
+/// one per shard) — the one driver behind [`ShardedSimulator::run`].
+/// `threads == 1` runs everything on the calling thread (still
+/// exchanging through the mailbox grid when P > 1 — the protocol is
+/// identical, only the parallelism differs). A run with a real probe
+/// (`P::ENABLED`) is forced single-worker so one probe instance observes
+/// every shard of every cycle — statistics are bit-for-bit independent
+/// of the worker count, so this only affects wall clock.
+/// `opts.profile`, when set, collects superstep phase times from all
+/// workers (profiling uses atomics, so it composes with threading). The
+/// shards are left in their end-of-run state so the caller can snapshot
+/// or merge them.
 #[allow(clippy::too_many_arguments)]
 fn run_shards<P: Probe>(
     plan: &EnginePlan<'_>,
     shards: &mut [ShardState],
     threads: usize,
     workload: Workload<'_>,
-    dump_on_stall: bool,
+    tables: &InjectTables,
     start: RunCursor,
-    stop_at: u64,
+    opts: &RunOpts<'_>,
     probe: &mut P,
-    prof: Option<&ProfileSink>,
 ) -> Result<RunEnd, SimError> {
     let nshards = shards.len();
-    let workers = if P::ENABLED {
-        1
-    } else {
-        threads.clamp(1, nshards)
+    let workers = match threads {
+        _ if P::ENABLED => 1,
+        0 => nshards,
+        t => t.min(nshards),
     };
     // Acceptance window for `SimStats::accepted_flits`: the measurement
     // window of a synthetic run, the whole run for traces.
@@ -2753,16 +2741,7 @@ fn run_shards<P: Probe>(
     if workers == 1 {
         let chunk = chunks.pop().expect("one worker has one chunk");
         return worker_loop_windowed(
-            plan,
-            &shared,
-            chunk,
-            workload,
-            dump_on_stall,
-            0,
-            start,
-            stop_at,
-            probe,
-            prof,
+            plan, &shared, chunk, workload, tables, 0, start, opts, probe,
         );
     }
     let shared_ref = &shared;
@@ -2777,12 +2756,11 @@ fn run_shards<P: Probe>(
                         shared_ref,
                         chunk,
                         workload,
-                        dump_on_stall,
+                        tables,
                         w,
                         start,
-                        stop_at,
+                        opts,
                         &mut NoopProbe,
-                        prof,
                     )
                 })
             })
@@ -3114,6 +3092,101 @@ impl Minter {
     }
 }
 
+/// `Ok` when `ok` holds, [`SnapshotError::Corrupt`] otherwise.
+fn ensure(ok: bool) -> Result<(), SnapshotError> {
+    ok.then_some(()).ok_or(SnapshotError::Corrupt)
+}
+
+/// Rejects a well-formed state no run can reach, which the engine would
+/// panic or miscount continuing from (see `docs/SNAPSHOT_FORMAT.md`):
+/// every live packet's flits are accounted for exactly once (ejected,
+/// buffered, in flight, or still at its source NIC); closed-loop window
+/// counts match the packets out of each NIC; and every VC stream is in
+/// wormhole order — the stream into an input VC (its queue, then its
+/// link's in-flight flits) is mid-packet exactly when the upstream side
+/// (the slot holding the VC, or the NIC's emission on the injection
+/// port) still has body flits to send.
+fn check_reachable(plan: &EnginePlan<'_>, gs: &GlobalState) -> Result<(), SnapshotError> {
+    let (topo, vcs) = (plan.topo, plan.cfg.vcs);
+    let mut seen: Vec<u64> = gs.packets.iter().map(|p| u64::from(p.ejected)).collect();
+    let mut see = |f: &FlitImage| {
+        seen[f.packet as usize] += 1;
+        ensure(gs.packets[f.packet as usize].dst == f.dst)
+    };
+    // The active slot holding each (link, vc); one per output VC.
+    let mut holder: Vec<Option<&SlotImage>> = vec![None; topo.links().len() * vcs];
+    for (g, n) in gs.nodes.iter().enumerate() {
+        let outgoing = topo.outgoing(NodeId(g as u16));
+        let mut held = vec![0u32; outgoing.len() + 1];
+        for img in &n.slots {
+            img.queue.iter().try_for_each(&mut see)?;
+            // Whole packets in order (a head follows exactly a tail); an
+            // active slot forwards its own packet first.
+            ensure(img.queue.windows(2).all(|w| w[0].is_tail == w[1].is_head))?;
+            if u32::from(img.tag) == meta::ACTIVE {
+                ensure(img.queue.first().is_none_or(|f| f.packet == img.active_pid))?;
+                let (p, bit) = (usize::from(img.out_port), 1u32 << img.out_vc);
+                ensure(p < held.len() && held[p] & bit == 0)?;
+                held[p] |= bit;
+                if p > 0 {
+                    holder[outgoing[p - 1].index() * vcs + usize::from(img.out_vc)] = Some(img);
+                }
+            }
+        }
+    }
+    gs.links.iter().flatten().try_for_each(|ev| see(&ev.flit))?;
+    let mut out_of_nic = vec![0u64; gs.nodes.len()];
+    for p in &gs.packets {
+        out_of_nic[usize::from(p.src)] += 1;
+    }
+    for (g, n) in gs.nodes.iter().enumerate() {
+        for &pid in &n.src_queue {
+            let p = &gs.packets[pid as usize];
+            ensure(usize::from(p.src) == g)?;
+            seen[pid as usize] += u64::from(p.flits);
+        }
+        if let Some(em) = &n.emitting {
+            let p = &gs.packets[em.packet as usize];
+            ensure(usize::from(p.src) == g && em.total == p.flits && em.dst == p.dst)?;
+            seen[em.packet as usize] += u64::from(em.total - em.emitted);
+        }
+        // Each queued packet is counted once (the ledger below).
+        out_of_nic[g] = out_of_nic[g].saturating_sub(n.src_queue.len() as u64);
+    }
+    ensure(
+        gs.packets
+            .iter()
+            .zip(&seen)
+            .all(|(p, &k)| k == u64::from(p.flits)),
+    )?;
+    let closed = plan.cfg.max_outstanding > 0;
+    for (d, n) in gs.nodes.iter().enumerate() {
+        ensure(u64::from(n.outstanding) == if closed { out_of_nic[d] } else { 0 })?;
+        let incoming = topo.incoming(NodeId(d as u16));
+        ensure(n.slots.len() == (incoming.len() + 1) * vcs)?;
+        for (idx, img) in n.slots.iter().enumerate() {
+            let (port, vc) = (idx / vcs, idx % vcs);
+            // Mid-packet after the queue: a body flit must come next.
+            let mut open = match img.queue.last() {
+                Some(f) => !f.is_tail,
+                None => u32::from(img.tag) == meta::ACTIVE,
+            };
+            let upstream_open = if port == 0 {
+                n.emitting.is_some_and(|em| usize::from(em.vc) == vc)
+            } else {
+                let lid = incoming[port - 1].index();
+                for ev in gs.links[lid].iter().filter(|e| usize::from(e.vc) == vc) {
+                    ensure(ev.flit.is_head != open)?;
+                    open = !ev.flit.is_tail;
+                }
+                holder[lid * vcs + vc].is_some_and(|h| h.queue.first().is_none_or(|f| !f.is_head))
+            };
+            ensure(open == upstream_open)?;
+        }
+    }
+    Ok(())
+}
+
 /// Rebuilds per-shard engine state from a decoded snapshot under `plan`
 /// — whose partition may differ from the one the snapshot was taken
 /// with. Returns the shards plus the run cursor to resume from.
@@ -3134,6 +3207,7 @@ pub(crate) fn import_shards(
     {
         return Err(SnapshotError::Corrupt);
     }
+    check_reachable(plan, gs)?;
     let nshards = plan.partition.num_shards();
     let mut shards: Vec<ShardState> = (0..nshards).map(|id| ShardState::new(plan, id)).collect();
     let mut minter = Minter {
@@ -3379,8 +3453,6 @@ pub struct ShardedSimulator<'a> {
     plan: EnginePlan<'a>,
     shards: Vec<ShardState>,
     threads: usize,
-    /// Print a blocked-state dump on a cycle-limit failure.
-    dump_on_stall: bool,
 }
 
 impl<'a> ShardedSimulator<'a> {
@@ -3397,21 +3469,16 @@ impl<'a> ShardedSimulator<'a> {
         let shards = (0..plan.partition.num_shards())
             .map(|id| ShardState::new(&plan, id))
             .collect();
-        Self::from_parts(plan, shards, false)
+        Self::from_parts(plan, shards)
     }
 
     /// Wraps an already-built plan and its shards (how
     /// [`crate::Simulator`] runs its single shard), one worker per shard.
-    pub(crate) fn from_parts(
-        plan: EnginePlan<'a>,
-        shards: Vec<ShardState>,
-        dump_on_stall: bool,
-    ) -> Self {
+    pub(crate) fn from_parts(plan: EnginePlan<'a>, shards: Vec<ShardState>) -> Self {
         ShardedSimulator {
             plan,
             shards,
             threads: 0,
-            dump_on_stall,
         }
     }
 
@@ -3478,14 +3545,106 @@ impl<'a> ShardedSimulator<'a> {
         self.shards.len()
     }
 
-    /// Runs a trace to completion.
-    pub fn run_trace(self, trace: &Trace) -> Result<SimStats, SimError> {
-        self.run_trace_probed(trace, &mut NoopProbe)
+    /// Runs `workload` — the one run entry point every other run method
+    /// wraps. [`RunOpts::default`] starts fresh at cycle 0 and runs to
+    /// completion; the options pause at a cycle boundary (returning
+    /// [`RunOutcome::Paused`]), continue a paused run, profile it, or dump
+    /// blocked state on a cycle-limit failure. `probe` observes the run
+    /// ([`NoopProbe`] for none); probed runs are single-worker so one
+    /// probe sees every shard. Statistics are bit-for-bit those of
+    /// [`crate::Simulator::run`] at every shard count, worker count, pause
+    /// point and probe. Panics if a trace is sized for another topology.
+    ///
+    /// ```
+    /// # use hyppi_netsim::{NoopProbe, RunOpts, ShardedSimulator, SimConfig, Workload};
+    /// # use hyppi_phys::LinkTechnology;
+    /// # use hyppi_topology::{mesh, MeshSpec, NodeId, RoutingTable, ShardSpec};
+    /// # use hyppi_traffic::{Trace, TraceEvent};
+    /// let topo = mesh(MeshSpec::paper(LinkTechnology::Electronic));
+    /// let routes = RoutingTable::compute_xy(&topo);
+    /// let event = TraceEvent { cycle: 0, src: NodeId(0), dst: NodeId(255), flits: 32 };
+    /// let trace = Trace::new("demo", 256, 0.0, vec![event]);
+    /// let engine = || ShardedSimulator::new(&topo, &routes, SimConfig::paper(), ShardSpec::quadrants());
+    /// let workload = Workload::Trace(&trace);
+    ///
+    /// // Pause at cycle 40, then finish the run from the snapshot.
+    /// let until = RunOpts { stop_at: 40, ..RunOpts::default() };
+    /// let snap = engine().run(workload, until, &mut NoopProbe).unwrap().expect_paused();
+    /// let resume = RunOpts { resume: Some(&snap), ..RunOpts::default() };
+    /// let stats = engine().run(workload, resume, &mut NoopProbe).unwrap().expect_finished();
+    /// assert_eq!(stats, engine().run_trace(&trace).unwrap());
+    /// ```
+    pub fn run<P: Probe>(
+        mut self,
+        workload: Workload<'_>,
+        opts: RunOpts<'_>,
+        probe: &mut P,
+    ) -> Result<RunOutcome, SimError> {
+        if let Workload::Trace(trace) = workload {
+            let nodes = usize::from(trace.num_nodes);
+            assert_eq!(
+                nodes,
+                self.plan.topo.num_nodes(),
+                "trace sized for another topology"
+            );
+        }
+        // Pinned into pause snapshots and checked on resume; computed only
+        // then (hashing a trace walks every event).
+        let fingerprint = || match workload {
+            Workload::Trace(trace) => trace_fingerprint(trace),
+            Workload::Synthetic {
+                warmup,
+                measure,
+                seed,
+                ..
+            } => synthetic_fingerprint(warmup, measure, seed),
+        };
+        let start = match (opts.resume, workload) {
+            (None, Workload::Trace(_)) => RunCursor::fresh_for_trace(),
+            (None, Workload::Synthetic { seed, .. }) => RunCursor::fresh_for_synthetic(seed),
+            (Some(snap), _) => {
+                // Free the fresh state before decoding, so a resume never
+                // holds two engine states at once.
+                self.shards.clear();
+                let (shards, mut cursor) = restore_shards(&self.plan, snap, fingerprint())?;
+                self.shards = shards;
+                if let (Workload::Trace(trace), 0) = (workload, snap.workload_hash()) {
+                    cursor.next_event = rescan_trace_cursor(trace, cursor.now);
+                }
+                cursor
+            }
+        };
+        let tables = match workload {
+            Workload::Synthetic { matrix, .. } => InjectTables::new(self.plan.topo, matrix),
+            Workload::Trace(_) => InjectTables::default(),
+        };
+        let plan = &self.plan;
+        let end = run_shards(
+            plan,
+            &mut self.shards,
+            self.threads,
+            workload,
+            &tables,
+            start,
+            &opts,
+            probe,
+        )?;
+        Ok(match end {
+            RunEnd::Done(cycles) => RunOutcome::Finished(merge_stats(plan, &self.shards, cycles)),
+            RunEnd::Stopped(cursor) => {
+                RunOutcome::Paused(snapshot_shards(plan, &self.shards, &cursor, fingerprint()))
+            }
+        })
     }
 
-    /// Runs Bernoulli-injected synthetic traffic; identical semantics
-    /// (and, bit-for-bit, identical statistics) to
-    /// [`crate::Simulator::run_synthetic`].
+    /// Runs a trace to completion.
+    pub fn run_trace(self, trace: &Trace) -> Result<SimStats, SimError> {
+        Ok(self
+            .run(Workload::Trace(trace), RunOpts::default(), &mut NoopProbe)?
+            .expect_finished())
+    }
+
+    /// Runs synthetic traffic to completion (see [`Workload::Synthetic`]).
     pub fn run_synthetic(
         self,
         matrix: &TrafficMatrix,
@@ -3496,25 +3655,7 @@ impl<'a> ShardedSimulator<'a> {
         self.run_synthetic_probed(matrix, warmup, measure, seed, &mut NoopProbe)
     }
 
-    // ---- telemetry -------------------------------------------------------
-
-    /// [`Self::run_trace`] with a telemetry probe attached (see
-    /// [`crate::telemetry`]). Probed runs are single-worker so one probe
-    /// instance observes every shard; the statistics are bit-for-bit
-    /// those of the plain run (`tests/telemetry_parity.rs` pins this).
-    pub fn run_trace_probed<P: Probe>(
-        self,
-        trace: &Trace,
-        probe: &mut P,
-    ) -> Result<SimStats, SimError> {
-        assert_eq!(usize::from(trace.num_nodes), self.plan.topo.num_nodes());
-        let start = RunCursor::fresh_for_trace();
-        let end = self.finish_or_pause(Workload::Trace(trace), start, u64::MAX, probe, None, || 0);
-        Ok(end?.expect_finished())
-    }
-
-    /// [`Self::run_synthetic`] with a telemetry probe attached — same
-    /// contract as [`Self::run_trace_probed`].
+    /// [`Self::run_synthetic`] with a telemetry probe attached.
     pub fn run_synthetic_probed<P: Probe>(
         self,
         matrix: &TrafficMatrix,
@@ -3523,42 +3664,20 @@ impl<'a> ShardedSimulator<'a> {
         seed: u64,
         probe: &mut P,
     ) -> Result<SimStats, SimError> {
-        let tables = InjectTables::new(self.plan.topo, matrix);
         let workload = Workload::Synthetic {
-            tables: &tables,
+            matrix,
             warmup,
             measure,
             seed,
         };
-        let start = RunCursor::fresh_for_synthetic(seed);
-        let end = self.finish_or_pause(workload, start, u64::MAX, probe, None, || 0);
-        Ok(end?.expect_finished())
+        Ok(self
+            .run(workload, RunOpts::default(), probe)?
+            .expect_finished())
     }
 
-    /// [`Self::run_trace`] with engine self-profiling: returns the
+    /// [`Self::run_synthetic`] with engine self-profiling: returns the
     /// statistics plus the superstep phase-time breakdown (step vs.
-    /// exchange vs. barrier wait). Profiling composes with
-    /// multi-threaded runs (atomics, flushed per worker on exit).
-    pub fn run_trace_profiled(self, trace: &Trace) -> Result<(SimStats, EngineProfile), SimError> {
-        assert_eq!(usize::from(trace.num_nodes), self.plan.topo.num_nodes());
-        let workers = self.workers();
-        let sink = ProfileSink::new();
-        let start = RunCursor::fresh_for_trace();
-        let stats = self
-            .finish_or_pause(
-                Workload::Trace(trace),
-                start,
-                u64::MAX,
-                &mut NoopProbe,
-                Some(&sink),
-                || 0,
-            )?
-            .expect_finished();
-        Ok((stats, sink.profile(workers)))
-    }
-
-    /// [`Self::run_synthetic`] with engine self-profiling — same
-    /// contract as [`Self::run_trace_profiled`].
+    /// exchange vs. barrier wait) of every worker.
     pub fn run_synthetic_profiled(
         self,
         matrix: &TrafficMatrix,
@@ -3566,20 +3685,19 @@ impl<'a> ShardedSimulator<'a> {
         measure: u64,
         seed: u64,
     ) -> Result<(SimStats, EngineProfile), SimError> {
-        let tables = InjectTables::new(self.plan.topo, matrix);
         let workload = Workload::Synthetic {
-            tables: &tables,
+            matrix,
             warmup,
             measure,
             seed,
         };
-        let workers = self.workers();
         let sink = ProfileSink::new();
-        let start = RunCursor::fresh_for_synthetic(seed);
-        let stats = self
-            .finish_or_pause(workload, start, u64::MAX, &mut NoopProbe, Some(&sink), || 0)?
-            .expect_finished();
-        Ok((stats, sink.profile(workers)))
+        let opts = RunOpts {
+            profile: Some(&sink),
+            ..RunOpts::default()
+        };
+        let stats = self.run(workload, opts, &mut NoopProbe)?.expect_finished();
+        Ok((stats, sink.profile()))
     }
 
     // ---- checkpoint / restore -------------------------------------------
@@ -3588,13 +3706,12 @@ impl<'a> ShardedSimulator<'a> {
     /// snapshot is partition-independent: all P shards' state is merged
     /// into one global image, so it restores at any shard count
     /// (including P=1 via [`crate::Simulator::restore`]). Pins no
-    /// workload; bounded runs ([`run_trace_until`](Self::run_trace_until))
-    /// produce their own snapshots instead.
+    /// workload; runs with [`RunOpts::stop_at`] produce their own
+    /// snapshots instead.
     pub fn snapshot(&self, now: u64) -> Snapshot {
         let cursor = RunCursor {
             now,
-            next_event: 0,
-            rng: StdRng::seed_from_u64(0).state(),
+            ..RunCursor::fresh_for_trace()
         };
         snapshot_shards(&self.plan, &self.shards, &cursor, 0)
     }
@@ -3604,166 +3721,9 @@ impl<'a> ShardedSimulator<'a> {
     /// been taken at any other shard count. Must match this simulator's
     /// topology, routing, and configuration (fingerprint-checked).
     pub fn restore(mut self, snap: &Snapshot) -> Result<Self, SimError> {
-        self.restore_state(snap, 0)?;
-        Ok(self)
-    }
-
-    /// Runs a trace, pausing at the cycle boundary `stop_at` if the
-    /// workload hasn't drained by then; bit-for-bit semantics of
-    /// [`crate::Simulator::run_trace_until`].
-    pub fn run_trace_until(self, trace: &Trace, stop_at: u64) -> Result<RunOutcome, SimError> {
-        assert_eq!(usize::from(trace.num_nodes), self.plan.topo.num_nodes());
-        let start = RunCursor::fresh_for_trace();
-        self.finish_or_pause(
-            Workload::Trace(trace),
-            start,
-            stop_at,
-            &mut NoopProbe,
-            None,
-            || trace_fingerprint(trace),
-        )
-    }
-
-    /// Resumes a paused trace run from `snap`, itself pausing again at
-    /// `stop_at` if the trace hasn't drained (pass `u64::MAX` to run to
-    /// completion). The snapshot may come from any engine at any shard
-    /// count, and must carry this trace's fingerprint or none (manual
-    /// snapshots).
-    pub fn resume_trace_until(
-        mut self,
-        snap: &Snapshot,
-        trace: &Trace,
-        stop_at: u64,
-    ) -> Result<RunOutcome, SimError> {
-        assert_eq!(usize::from(trace.num_nodes), self.plan.topo.num_nodes());
-        let mut cursor = self.restore_state(snap, trace_fingerprint(trace))?;
-        if snap.workload_hash() == 0 {
-            cursor.next_event = rescan_trace_cursor(trace, cursor.now);
-        }
-        self.finish_or_pause(
-            Workload::Trace(trace),
-            cursor,
-            stop_at,
-            &mut NoopProbe,
-            None,
-            || trace_fingerprint(trace),
-        )
-    }
-
-    /// Resumes a paused trace run to completion.
-    pub fn resume_trace(self, snap: &Snapshot, trace: &Trace) -> Result<SimStats, SimError> {
-        Ok(self
-            .resume_trace_until(snap, trace, u64::MAX)?
-            .expect_finished())
-    }
-
-    /// Runs synthetic traffic, pausing at the cycle boundary `stop_at`
-    /// if the run hasn't drained by then.
-    pub fn run_synthetic_until(
-        self,
-        matrix: &TrafficMatrix,
-        warmup: u64,
-        measure: u64,
-        seed: u64,
-        stop_at: u64,
-    ) -> Result<RunOutcome, SimError> {
-        let tables = InjectTables::new(self.plan.topo, matrix);
-        let workload = Workload::Synthetic {
-            tables: &tables,
-            warmup,
-            measure,
-            seed,
-        };
-        let start = RunCursor::fresh_for_synthetic(seed);
-        self.finish_or_pause(workload, start, stop_at, &mut NoopProbe, None, || {
-            synthetic_fingerprint(warmup, measure, seed)
-        })
-    }
-
-    /// Resumes a paused synthetic run to completion; same workload-
-    /// fingerprint rules as [`crate::Simulator::resume_synthetic`] (the
-    /// traffic matrix is deliberately not pinned, enabling warm-start
-    /// rate sweeps).
-    pub fn resume_synthetic(
-        mut self,
-        snap: &Snapshot,
-        matrix: &TrafficMatrix,
-        warmup: u64,
-        measure: u64,
-        seed: u64,
-    ) -> Result<SimStats, SimError> {
-        let cursor = self.restore_state(snap, synthetic_fingerprint(warmup, measure, seed))?;
-        let tables = InjectTables::new(self.plan.topo, matrix);
-        let workload = Workload::Synthetic {
-            tables: &tables,
-            warmup,
-            measure,
-            seed,
-        };
-        let end = self.finish_or_pause(workload, cursor, u64::MAX, &mut NoopProbe, None, || 0);
-        Ok(end?.expect_finished())
-    }
-
-    /// Replaces this simulator's (fresh) shard state with `snap`'s and
-    /// returns the snapshot's run cursor — see [`restore_shards`]. The
-    /// fresh state is freed first, so a restore never holds two engine
-    /// states at once.
-    fn restore_state(
-        &mut self,
-        snap: &Snapshot,
-        workload_hash: u64,
-    ) -> Result<RunCursor, SimError> {
         self.shards.clear();
-        let (shards, cursor) = restore_shards(&self.plan, snap, workload_hash)?;
-        self.shards = shards;
-        Ok(cursor)
-    }
-
-    /// Shared tail of every run: drive the engine with [`run_shards`],
-    /// then either merge final statistics or serialize the pause
-    /// snapshot (fingerprinting the workload via `workload_hash`,
-    /// evaluated only on pause).
-    fn finish_or_pause<P: Probe>(
-        mut self,
-        workload: Workload<'_>,
-        start: RunCursor,
-        stop_at: u64,
-        probe: &mut P,
-        prof: Option<&ProfileSink>,
-        workload_hash: impl FnOnce() -> u64,
-    ) -> Result<RunOutcome, SimError> {
-        let threads = self.workers();
-        let plan = &self.plan;
-        let end = run_shards(
-            plan,
-            &mut self.shards,
-            threads,
-            workload,
-            self.dump_on_stall,
-            start,
-            stop_at,
-            probe,
-            prof,
-        )?;
-        Ok(match end {
-            RunEnd::Done(cycles) => RunOutcome::Finished(merge_stats(plan, &self.shards, cycles)),
-            RunEnd::Stopped(cursor) => RunOutcome::Paused(snapshot_shards(
-                plan,
-                &self.shards,
-                &cursor,
-                workload_hash(),
-            )),
-        })
-    }
-
-    /// Worker threads of an unprobed run: the cap, or one per shard.
-    fn workers(&self) -> usize {
-        let threads = if self.threads == 0 {
-            self.shards.len()
-        } else {
-            self.threads
-        };
-        threads.clamp(1, self.shards.len())
+        self.shards = restore_shards(&self.plan, snap, 0)?.0;
+        Ok(self)
     }
 }
 

@@ -20,11 +20,10 @@ use crate::config::SimConfig;
 use crate::shard::{import_shards, snapshot_shards, EnginePlan, RunCursor, ShardState};
 use crate::snapshot::{plan_fingerprint, Snapshot, SnapshotError};
 use crate::stats::SimStats;
-use crate::telemetry::Probe;
+use crate::telemetry::{NoopProbe, Probe, ProfileSink};
 use crate::ShardedSimulator;
 use hyppi_topology::{NodeId, Partition, RoutingTable, Topology};
 use hyppi_traffic::{Trace, TrafficMatrix};
-use rand::{rngs::StdRng, SeedableRng};
 
 /// Simulation failure modes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,9 +57,67 @@ impl From<SnapshotError> for SimError {
     }
 }
 
-/// Result of a bounded run ([`Simulator::run_trace_until`] and friends):
-/// either the workload drained before the stop cycle, or the run paused
-/// at the stop boundary and handed back a [`Snapshot`] to resume from.
+/// What a run simulates (see [`Simulator::run`]).
+#[derive(Debug, Clone, Copy)]
+pub enum Workload<'w> {
+    /// Trace-driven admission: each event's packet is queued at its
+    /// source NIC on the event's cycle. The trace must be sized for the
+    /// simulated topology.
+    Trace(&'w Trace),
+    /// Bernoulli-injected synthetic traffic: each node injects 1-flit
+    /// packets at its row rate of `matrix`, destinations sampled from the
+    /// row distribution. Packets injected during the first `warmup`
+    /// cycles are not measured; injection stops after `warmup + measure`
+    /// cycles and the network drains.
+    Synthetic {
+        /// Per-pair injection rates (flits/cycle).
+        matrix: &'w TrafficMatrix,
+        /// Unmeasured warm-up cycles.
+        warmup: u64,
+        /// Measured injection cycles after the warm-up.
+        measure: u64,
+        /// Seed of the injection RNG stream.
+        seed: u64,
+    },
+}
+
+/// Options of one run; [`RunOpts::default`] runs a fresh workload to
+/// completion.
+#[derive(Debug, Clone, Copy)]
+pub struct RunOpts<'r> {
+    /// Pause at this cycle boundary if the workload hasn't drained by
+    /// then, returning [`RunOutcome::Paused`]. Pausing at `c` and
+    /// resuming yields statistics bit-for-bit identical to the
+    /// uninterrupted run (`tests/snapshot_parity.rs` pins this). Default
+    /// `u64::MAX`: run to completion.
+    pub stop_at: u64,
+    /// Continue from this snapshot instead of cycle 0. It may come from
+    /// any engine at any shard count, but must match this engine's plan
+    /// and carry this workload's fingerprint — or none (manual
+    /// snapshots, whose trace cursor is rebuilt by scanning).
+    pub resume: Option<&'r Snapshot>,
+    /// Collect the superstep phase times (step / exchange / barrier) of
+    /// every worker here.
+    pub profile: Option<&'r ProfileSink>,
+    /// On a cycle-limit failure, print a blocked-state dump to stderr
+    /// before returning the error (deadlock triage aid).
+    pub dump_on_stall: bool,
+}
+
+impl Default for RunOpts<'_> {
+    fn default() -> Self {
+        RunOpts {
+            stop_at: u64::MAX,
+            resume: None,
+            profile: None,
+            dump_on_stall: false,
+        }
+    }
+}
+
+/// Result of a run: either the workload drained before
+/// [`RunOpts::stop_at`], or the run paused at that boundary and handed
+/// back a [`Snapshot`] to resume from.
 // One RunOutcome exists per bounded run, so the variant-size asymmetry
 // (inline SimStats vs a Vec-backed Snapshot) costs nothing worth boxing.
 #[allow(clippy::large_enum_variant)]
@@ -68,8 +125,8 @@ impl From<SnapshotError> for SimError {
 pub enum RunOutcome {
     /// The run completed; here are its statistics.
     Finished(SimStats),
-    /// The run paused at the requested cycle boundary; resume with the
-    /// matching `resume_*` entry point (or persist the snapshot first —
+    /// The run paused at the requested cycle boundary; continue it by
+    /// passing the snapshot as [`RunOpts::resume`] (or persist it first —
     /// the byte format is stable, see `docs/SNAPSHOT_FORMAT.md`).
     Paused(Snapshot),
 }
@@ -175,7 +232,7 @@ impl<'a> Simulator<'a> {
 
     // ---- manual stepping (instrumentation API) --------------------------
     //
-    // The `run_*` entry points own the clock, fast-forward idle gaps and
+    // The run entry points own the clock, fast-forward idle gaps and
     // consume the simulator. For conservation audits and property tests
     // the engine can instead be driven cycle by cycle: `admit` packets,
     // `step` the clock, and read the gauges between cycles. No
@@ -232,30 +289,24 @@ impl<'a> Simulator<'a> {
         &self.shard.outstanding
     }
 
-    /// This engine as a one-shard [`ShardedSimulator`]: every `run_*`
-    /// entry point drives the same superstep loop, which with one shard
-    /// skips the mailbox exchange and barriers.
-    fn into_sharded(self, dump_on_stall: bool) -> ShardedSimulator<'a> {
-        ShardedSimulator::from_parts(self.plan, vec![self.shard], dump_on_stall)
+    /// Runs `workload` as a one-shard [`ShardedSimulator`] — the same
+    /// superstep loop, which with one shard skips the mailbox exchange
+    /// and barriers. See [`ShardedSimulator::run`] for the contract.
+    pub fn run<P: Probe>(
+        self,
+        workload: Workload<'_>,
+        opts: RunOpts<'_>,
+        probe: &mut P,
+    ) -> Result<RunOutcome, SimError> {
+        ShardedSimulator::from_parts(self.plan, vec![self.shard]).run(workload, opts, probe)
     }
 
     /// Runs a trace to completion.
     pub fn run_trace(self, trace: &Trace) -> Result<SimStats, SimError> {
-        self.into_sharded(false).run_trace(trace)
+        self.run_trace_probed(trace, &mut NoopProbe)
     }
 
-    /// Like [`run_trace`](Self::run_trace), but on a cycle-limit failure
-    /// prints a blocked-state dump to stderr before returning the error
-    /// (deadlock triage aid).
-    pub fn run_trace_debug(self, trace: &Trace) -> Result<SimStats, SimError> {
-        self.into_sharded(true).run_trace(trace)
-    }
-
-    /// Runs Bernoulli-injected synthetic traffic: each node injects 1-flit
-    /// packets at its row rate of `matrix`, destinations sampled from the
-    /// row distribution. Packets injected during the first `warmup` cycles
-    /// are not measured; injection stops after `warmup + measure` cycles and
-    /// the network drains.
+    /// Runs synthetic traffic to completion (see [`Workload::Synthetic`]).
     pub fn run_synthetic(
         self,
         matrix: &TrafficMatrix,
@@ -263,11 +314,8 @@ impl<'a> Simulator<'a> {
         measure: u64,
         seed: u64,
     ) -> Result<SimStats, SimError> {
-        self.into_sharded(false)
-            .run_synthetic(matrix, warmup, measure, seed)
+        self.run_synthetic_probed(matrix, warmup, measure, seed, &mut NoopProbe)
     }
-
-    // ---- telemetry -------------------------------------------------------
 
     /// [`Self::run_trace`] with a telemetry probe attached (see
     /// [`crate::telemetry`]). The statistics are bit-for-bit those of
@@ -278,7 +326,10 @@ impl<'a> Simulator<'a> {
         trace: &Trace,
         probe: &mut P,
     ) -> Result<SimStats, SimError> {
-        self.into_sharded(false).run_trace_probed(trace, probe)
+        let workload = Workload::Trace(trace);
+        Ok(self
+            .run(workload, RunOpts::default(), probe)?
+            .expect_finished())
     }
 
     /// [`Self::run_synthetic`] with a telemetry probe attached — same
@@ -291,8 +342,38 @@ impl<'a> Simulator<'a> {
         seed: u64,
         probe: &mut P,
     ) -> Result<SimStats, SimError> {
-        self.into_sharded(false)
-            .run_synthetic_probed(matrix, warmup, measure, seed, probe)
+        let workload = Workload::Synthetic {
+            matrix,
+            warmup,
+            measure,
+            seed,
+        };
+        Ok(self
+            .run(workload, RunOpts::default(), probe)?
+            .expect_finished())
+    }
+
+    /// Runs synthetic traffic, pausing at the cycle boundary `stop_at`
+    /// if the run hasn't drained by then.
+    pub fn run_synthetic_until(
+        self,
+        matrix: &TrafficMatrix,
+        warmup: u64,
+        measure: u64,
+        seed: u64,
+        stop_at: u64,
+    ) -> Result<RunOutcome, SimError> {
+        let workload = Workload::Synthetic {
+            matrix,
+            warmup,
+            measure,
+            seed,
+        };
+        let opts = RunOpts {
+            stop_at,
+            ..RunOpts::default()
+        };
+        self.run(workload, opts, &mut NoopProbe)
     }
 
     // ---- checkpoint / restore -------------------------------------------
@@ -300,15 +381,13 @@ impl<'a> Simulator<'a> {
     /// Serializes the engine state at the cycle boundary `now` (cycles
     /// `0..now` simulated, `now` not yet). For use with the manual
     /// stepping API — the caller owns the clock, so it supplies the
-    /// boundary; the snapshot pins no workload (any `resume_*` accepts
-    /// it, rebuilding the trace cursor by scanning). Bounded runs
-    /// ([`run_trace_until`](Self::run_trace_until)) produce their own
-    /// snapshots instead.
+    /// boundary; the snapshot pins no workload (any resume accepts it,
+    /// rebuilding the trace cursor by scanning). Runs with
+    /// [`RunOpts::stop_at`] produce their own snapshots instead.
     pub fn snapshot(&self, now: u64) -> Snapshot {
         let cursor = RunCursor {
             now,
-            next_event: 0,
-            rng: StdRng::seed_from_u64(0).state(),
+            ..RunCursor::fresh_for_trace()
         };
         snapshot_shards(&self.plan, std::slice::from_ref(&self.shard), &cursor, 0)
     }
@@ -318,75 +397,14 @@ impl<'a> Simulator<'a> {
     /// any engine at any shard count — the format is
     /// partition-independent — but must match this simulator's topology,
     /// routing, and configuration (fingerprint-checked). Continue with
-    /// the manual stepping API from cycle [`Snapshot::now`], or use a
-    /// `resume_*` entry point to rejoin a paused run.
+    /// the manual stepping API from cycle [`Snapshot::now`]; to rejoin a
+    /// paused run, pass the snapshot as [`RunOpts::resume`] instead.
     pub fn restore(self, snap: &Snapshot) -> Result<Self, SimError> {
         let Simulator { plan, .. } = self;
         let (mut shards, _) = restore_shards(&plan, snap, 0)?;
         let shard = shards.pop().expect("single partition has one shard");
         debug_assert!(shards.is_empty());
         Ok(Simulator { plan, shard })
-    }
-
-    /// Runs a trace, pausing at the cycle boundary `stop_at` if the
-    /// workload hasn't drained by then. Pausing at `c` and resuming
-    /// yields statistics bit-for-bit identical to the uninterrupted run
-    /// — `tests/snapshot_parity.rs` pins this.
-    pub fn run_trace_until(self, trace: &Trace, stop_at: u64) -> Result<RunOutcome, SimError> {
-        self.into_sharded(false).run_trace_until(trace, stop_at)
-    }
-
-    /// Resumes a paused trace run from `snap`, itself pausing again at
-    /// `stop_at` if the trace hasn't drained (pass `u64::MAX` to run to
-    /// completion). The snapshot must carry this trace's fingerprint, or
-    /// none (manual snapshots).
-    pub fn resume_trace_until(
-        self,
-        snap: &Snapshot,
-        trace: &Trace,
-        stop_at: u64,
-    ) -> Result<RunOutcome, SimError> {
-        self.into_sharded(false)
-            .resume_trace_until(snap, trace, stop_at)
-    }
-
-    /// Resumes a paused trace run to completion.
-    pub fn resume_trace(self, snap: &Snapshot, trace: &Trace) -> Result<SimStats, SimError> {
-        self.into_sharded(false).resume_trace(snap, trace)
-    }
-
-    /// Runs synthetic traffic, pausing at the cycle boundary `stop_at`
-    /// if the run hasn't drained by then. Pausing at the end of warmup
-    /// and resuming per load point is what makes warm-start sweeps cheap
-    /// (see [`crate::SweepConfig::cold`]).
-    pub fn run_synthetic_until(
-        self,
-        matrix: &TrafficMatrix,
-        warmup: u64,
-        measure: u64,
-        seed: u64,
-        stop_at: u64,
-    ) -> Result<RunOutcome, SimError> {
-        self.into_sharded(false)
-            .run_synthetic_until(matrix, warmup, measure, seed, stop_at)
-    }
-
-    /// Resumes a paused synthetic run to completion. The snapshot must
-    /// match `(warmup, measure, seed)` — the traffic matrix is
-    /// deliberately *not* fingerprinted, so a post-warmup snapshot can
-    /// be resumed at each rate-grid point (the matrix only shapes
-    /// injections after the snapshot boundary; the RNG stream resumes
-    /// from the cursor either way).
-    pub fn resume_synthetic(
-        self,
-        snap: &Snapshot,
-        matrix: &TrafficMatrix,
-        warmup: u64,
-        measure: u64,
-        seed: u64,
-    ) -> Result<SimStats, SimError> {
-        self.into_sharded(false)
-            .resume_synthetic(snap, matrix, warmup, measure, seed)
     }
 }
 

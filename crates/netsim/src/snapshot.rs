@@ -103,8 +103,9 @@ impl std::error::Error for SnapshotError {}
 
 /// An opaque, versioned checkpoint of simulator state.
 ///
-/// Produced by `Simulator::snapshot` / the `run_*_until` entry points;
-/// consumed by `restore` / `resume_*` on any of the three engines. The
+/// Produced by `snapshot` or a run paused with `RunOpts::stop_at`;
+/// consumed by `restore` or a run given `RunOpts::resume`, on any of the
+/// three engines (the frozen reference keeps its own `resume_*`). The
 /// raw bytes are stable across processes and suitable for writing to disk
 /// (`repro npb32 --save/--resume` does exactly that).
 #[derive(Debug, Clone)]
@@ -262,6 +263,12 @@ impl Snapshot {
         }
         let num_nodes = self.num_nodes() as usize;
         let num_links = self.num_links() as usize;
+        // Every node and link encodes at least one body byte, so the
+        // counts are bounded by the length before anything is sized by
+        // them.
+        if num_nodes > self.bytes.len() || num_links > self.bytes.len() {
+            return Err(SnapshotError::Truncated);
+        }
         let vcs = read_u32(&self.bytes, 20);
         if vcs == 0 || vcs > 32 {
             return Err(SnapshotError::Corrupt);
@@ -277,6 +284,7 @@ impl Snapshot {
 
         let stats = d.stats(num_links, num_nodes)?;
 
+        let now = self.now();
         let npackets = d.u32()? as usize;
         if npackets > d.remaining() {
             return Err(SnapshotError::Truncated);
@@ -291,11 +299,14 @@ impl Snapshot {
                 ejected: d.u32()?,
                 class: d.u8()?,
             };
+            // A measured packet is injected by the snapshot boundary
+            // (u64::MAX marks unmeasured packets).
             if p.src as usize >= num_nodes
                 || p.dst as usize >= num_nodes
                 || p.class > 2
                 || p.flits == 0
                 || p.ejected >= p.flits
+                || (p.inject_cycle > now && p.inject_cycle != u64::MAX)
             {
                 return Err(SnapshotError::Corrupt);
             }
@@ -390,7 +401,6 @@ impl Snapshot {
             });
         }
 
-        let now = self.now();
         let mut links = Vec::with_capacity(num_links);
         for _ in 0..num_links {
             let n = d.u32()? as usize;
@@ -424,6 +434,11 @@ impl Snapshot {
         if d.remaining() != 0 {
             return Err(SnapshotError::Corrupt);
         }
+        let origin_packets = read_u64(&self.bytes, 104);
+        let completed_packets = read_u64(&self.bytes, 112);
+        if origin_packets.checked_sub(completed_packets) != Some(npackets as u64) {
+            return Err(SnapshotError::Corrupt);
+        }
 
         Ok(GlobalState {
             now,
@@ -431,8 +446,8 @@ impl Snapshot {
             rng,
             accept_from: read_u64(&self.bytes, 88),
             accept_until: read_u64(&self.bytes, 96),
-            origin_packets: read_u64(&self.bytes, 104),
-            completed_packets: read_u64(&self.bytes, 112),
+            origin_packets,
+            completed_packets,
             vcs,
             stats,
             packets,
@@ -854,18 +869,28 @@ mod tests {
             rng: [1, 2, 3, 4],
             accept_from: 0,
             accept_until: u64::MAX,
-            origin_packets: 2,
+            origin_packets: 3,
             completed_packets: 1,
             vcs: 2,
             stats,
-            packets: vec![PacketImage {
-                src: 0,
-                dst: 1,
-                inject_cycle: 40,
-                flits: 4,
-                ejected: 1,
-                class: 0,
-            }],
+            packets: vec![
+                PacketImage {
+                    src: 0,
+                    dst: 1,
+                    inject_cycle: 40,
+                    flits: 3,
+                    ejected: 1,
+                    class: 0,
+                },
+                PacketImage {
+                    src: 0,
+                    dst: 1,
+                    inject_cycle: 41,
+                    flits: 1,
+                    ejected: 0,
+                    class: 0,
+                },
+            ],
             nodes: vec![
                 NodeImage {
                     slots: vec![
@@ -890,7 +915,7 @@ mod tests {
                             queue: vec![],
                         },
                     ],
-                    src_queue: vec![0],
+                    src_queue: vec![1],
                     emitting: None,
                     outstanding: 1,
                     va_rr: vec![0, 1],

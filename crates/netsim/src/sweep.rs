@@ -26,9 +26,10 @@
 //! By default the runner pays the warm-up phase **once per (pattern,
 //! seed)** instead of once per rate-grid point: it runs the anchor
 //! matrix (the pattern at [`SweepConfig::zero_load_rate`]) up to the
-//! warm-up boundary, snapshots the engine there
-//! ([`Simulator::run_synthetic_until`](crate::Simulator::run_synthetic_until)),
-//! and resumes that [`Snapshot`] for every probed rate — the
+//! warm-up boundary, snapshots the engine there (a run paused with
+//! [`RunOpts::stop_at`](crate::RunOpts::stop_at)), and resumes that
+//! [`Snapshot`] ([`RunOpts::resume`](crate::RunOpts::resume)) for every
+//! probed rate — the
 //! measurement window then runs under the point's own matrix (the
 //! snapshot workload fingerprint deliberately excludes the matrix to
 //! permit exactly this rate switch). Anchors are
@@ -47,10 +48,10 @@
 
 use crate::config::SimConfig;
 use crate::shard::ShardedSimulator;
-use crate::sim::{RunOutcome, SimError};
+use crate::sim::{RunOpts, RunOutcome, SimError, Workload};
 use crate::snapshot::Snapshot;
-use crate::stats::{LatencyStats, SimStats};
-use crate::telemetry::Probe;
+use crate::stats::LatencyStats;
+use crate::telemetry::{NoopProbe, Probe};
 use hyppi_topology::{FaultSpec, NodeId, RoutingTable, ShardSpec, Topology};
 use hyppi_traffic::{BurstSpec, TenantMap, TenantSpec, TrafficMatrix};
 use serde::{Deserialize, Serialize};
@@ -454,11 +455,21 @@ impl<'a> SweepRunner<'a> {
         &self.cfg
     }
 
-    /// A fresh engine for one run of this sweep. Faulted sweeps simulate
-    /// the faulted pair with the healthy pair as the rerouted-hops
-    /// baseline; healthy sweeps run as given. `shards = 1` builds the
-    /// single-shard partition, the same engine as [`crate::Simulator`].
-    fn engine(&self) -> ShardedSimulator<'_> {
+    /// One synthetic run of this sweep under `matrix` on a fresh engine —
+    /// the run path of every point, anchor and recorded run. Faulted
+    /// sweeps simulate the faulted pair with the healthy pair as the
+    /// rerouted-hops baseline; `shards = 1` builds the single-shard
+    /// partition, the same engine as [`crate::Simulator`]. `opts` pauses
+    /// the run at the warm-up boundary (the anchor-producing run of a
+    /// warm sweep) or resumes a seed's anchor (the measurement leg of a
+    /// warm point).
+    fn run_one<P: Probe>(
+        &self,
+        matrix: &TrafficMatrix,
+        seed: u64,
+        opts: RunOpts<'_>,
+        probe: &mut P,
+    ) -> Result<RunOutcome, SimError> {
         let (topo, routes) = match &self.faulted {
             Some((t, r)) => (t, r),
             None => (self.topo, self.routes),
@@ -477,38 +488,13 @@ impl<'a> SweepRunner<'a> {
         if let Some(tm) = &self.tenant_map {
             sim = sim.with_tenants(tm);
         }
-        sim
-    }
-
-    fn run_one(&self, matrix: &TrafficMatrix, seed: u64) -> Result<SimStats, SimError> {
-        self.engine()
-            .run_synthetic(matrix, self.cfg.warmup, self.cfg.measure, seed)
-    }
-
-    /// Like [`run_one`](Self::run_one) but pausing at the cycle
-    /// boundary `stop_at` — the anchor-producing run of a warm sweep.
-    fn run_one_until(
-        &self,
-        matrix: &TrafficMatrix,
-        seed: u64,
-        stop_at: u64,
-    ) -> Result<RunOutcome, SimError> {
-        let (warmup, measure) = (self.cfg.warmup, self.cfg.measure);
-        self.engine()
-            .run_synthetic_until(matrix, warmup, measure, seed, stop_at)
-    }
-
-    /// Resumes one seed's anchor snapshot under `matrix` — the
-    /// measurement leg of a warm sweep point.
-    fn resume_one(
-        &self,
-        snap: &Snapshot,
-        matrix: &TrafficMatrix,
-        seed: u64,
-    ) -> Result<SimStats, SimError> {
-        let (warmup, measure) = (self.cfg.warmup, self.cfg.measure);
-        self.engine()
-            .resume_synthetic(snap, matrix, warmup, measure, seed)
+        let workload = Workload::Synthetic {
+            matrix,
+            warmup: self.cfg.warmup,
+            measure: self.cfg.measure,
+            seed,
+        };
+        sim.run(workload, opts, probe)
     }
 
     /// Returns the pattern's per-seed anchor snapshots (building and
@@ -533,8 +519,12 @@ impl<'a> SweepRunner<'a> {
         {
             return Some(Arc::clone(a));
         }
+        let until = RunOpts {
+            stop_at: self.cfg.warmup,
+            ..RunOpts::default()
+        };
         let outcomes = parallel_map(self.cfg.seeds.clone(), |seed| {
-            self.run_one_until(&anchor, seed, self.cfg.warmup)
+            self.run_one(&anchor, seed, until, &mut NoopProbe)
         });
         let mut snaps = Vec::with_capacity(outcomes.len());
         for out in outcomes {
@@ -553,20 +543,20 @@ impl<'a> SweepRunner<'a> {
 
     /// One merged point, warm when anchors are available.
     fn probe_point(&self, anchors: Option<&[Snapshot]>, matrix: &TrafficMatrix) -> LoadPoint {
-        match anchors {
-            Some(a) => {
-                let offered = matrix.mean_injection();
-                let jobs: Vec<(usize, u64)> = self.cfg.seeds.iter().copied().enumerate().collect();
-                let outcomes =
-                    parallel_map(jobs, |(si, seed)| self.resume_one(&a[si], matrix, seed));
-                self.reduce(offered, outcomes)
-            }
-            None => self.run_point(matrix),
-        }
+        let jobs: Vec<(usize, u64)> = self.cfg.seeds.iter().copied().enumerate().collect();
+        let outcomes = parallel_map(jobs, |(si, seed)| {
+            let opts = RunOpts {
+                resume: anchors.map(|a| &a[si]),
+                ..RunOpts::default()
+            };
+            self.run_one(matrix, seed, opts, &mut NoopProbe)
+        });
+        self.reduce(matrix.mean_injection(), outcomes)
     }
 
-    /// Reduces per-seed outcomes for one offered load to a [`LoadPoint`].
-    fn reduce(&self, offered: f64, outcomes: Vec<Result<SimStats, SimError>>) -> LoadPoint {
+    /// Reduces per-seed outcomes for one offered load to a [`LoadPoint`]
+    /// (none of them paused: every run here goes to completion).
+    fn reduce(&self, offered: f64, outcomes: Vec<Result<RunOutcome, SimError>>) -> LoadPoint {
         let nodes = self.topo.num_nodes() as f64;
         let mut latency = LatencyStats::default();
         let mut completed = 0u32;
@@ -577,7 +567,10 @@ impl<'a> SweepRunner<'a> {
         let ntenants = self.tenant_map.as_ref().map_or(0, |tm| tm.tenants);
         let mut lanes = vec![TenantLoadPoint::default(); ntenants];
         let mut lane_accepted = vec![0u64; ntenants];
-        for stats in outcomes.iter().flatten() {
+        for out in &outcomes {
+            let Ok(RunOutcome::Finished(stats)) = out else {
+                continue;
+            };
             latency.merge(&stats.all);
             cycles += stats.cycles;
             accepted_flits += stats.accepted_flits;
@@ -635,9 +628,7 @@ impl<'a> SweepRunner<'a> {
     /// [`SweepConfig::cold`]: a single probed point never depends on
     /// anchor-cache state.
     pub fn run_point(&self, matrix: &TrafficMatrix) -> LoadPoint {
-        let offered = matrix.mean_injection();
-        let outcomes = parallel_map(self.cfg.seeds.clone(), |seed| self.run_one(matrix, seed));
-        self.reduce(offered, outcomes)
+        self.probe_point(None, matrix)
     }
 
     /// Like [`Self::run_point`], but with a telemetry probe attached to
@@ -650,24 +641,11 @@ impl<'a> SweepRunner<'a> {
     pub fn record_point<P: Probe>(&self, matrix: &TrafficMatrix, probe: &mut P) -> LoadPoint {
         let offered = matrix.mean_injection();
         let (&first, rest) = self.cfg.seeds.split_first().expect("at least one seed");
-        let mut outcomes = vec![self.run_one_probed(matrix, first, probe)];
+        let mut outcomes = vec![self.run_one(matrix, first, RunOpts::default(), probe)];
         outcomes.extend(parallel_map(rest.to_vec(), |seed| {
-            self.run_one(matrix, seed)
+            self.run_one(matrix, seed, RunOpts::default(), &mut NoopProbe)
         }));
         self.reduce(offered, outcomes)
-    }
-
-    /// [`Self::run_one`] with a probe attached (single-worker — see
-    /// [`crate::telemetry`]).
-    fn run_one_probed<P: Probe>(
-        &self,
-        matrix: &TrafficMatrix,
-        seed: u64,
-        probe: &mut P,
-    ) -> Result<SimStats, SimError> {
-        let (warmup, measure) = (self.cfg.warmup, self.cfg.measure);
-        self.engine()
-            .run_synthetic_probed(matrix, warmup, measure, seed, probe)
     }
 
     /// Sweeps a rate grid: all (rate × seed) runs fan out across threads
@@ -688,13 +666,13 @@ impl<'a> SweepRunner<'a> {
             }
         }
         let outs = parallel_map(jobs, |(i, si, seed)| {
-            let out = match &anchors {
-                Some(a) => self.resume_one(&a[si], &matrices[i], seed),
-                None => self.run_one(&matrices[i], seed),
+            let opts = RunOpts {
+                resume: anchors.as_ref().map(|a| &a[si]),
+                ..RunOpts::default()
             };
-            (i, out)
+            (i, self.run_one(&matrices[i], seed, opts, &mut NoopProbe))
         });
-        let mut per_rate: Vec<Vec<Result<SimStats, SimError>>> =
+        let mut per_rate: Vec<Vec<Result<RunOutcome, SimError>>> =
             (0..rates.len()).map(|_| Vec::new()).collect();
         for (i, out) in outs {
             per_rate[i].push(out);

@@ -27,7 +27,7 @@
 //!   multi-threaded runs.
 //!
 //! Probed runs are **single-worker**: one probe instance must observe
-//! every shard, so `run_*_probed` forces `threads = 1`. Statistics are
+//! every shard, so a run with a real probe forces `threads = 1`. Statistics are
 //! bit-for-bit independent of the worker count, so this changes wall
 //! clock only. The frozen parity oracle (`reference.rs`) carries no
 //! hooks at all — telemetry is active-engine-only by construction.
@@ -41,7 +41,7 @@ use crate::stats::SimStats;
 use hyppi_topology::NodeId;
 use hyppi_traffic::TenantMap;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 // ---- stall taxonomy -----------------------------------------------------
 
@@ -1033,14 +1033,15 @@ impl EngineProfile {
 }
 
 /// Thread-safe accumulator the workers of one sharded run flush their
-/// phase timings into. Independent of the [`Probe`] machinery, so it
-/// composes with multi-threaded runs.
+/// phase timings into, one flush per worker. Independent of the
+/// [`Probe`] machinery, so it composes with multi-threaded runs.
 #[derive(Debug, Default)]
 pub struct ProfileSink {
     step_ns: AtomicU64,
     exchange_ns: AtomicU64,
     barrier_ns: AtomicU64,
     supersteps: AtomicU64,
+    workers: AtomicUsize,
 }
 
 impl ProfileSink {
@@ -1055,16 +1056,18 @@ impl ProfileSink {
         self.exchange_ns.fetch_add(exchange_ns, Ordering::Relaxed);
         self.barrier_ns.fetch_add(barrier_ns, Ordering::Relaxed);
         self.supersteps.fetch_add(supersteps, Ordering::Relaxed);
+        self.workers.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The accumulated profile (call after the run joined its workers).
-    pub fn profile(&self, workers: usize) -> EngineProfile {
+    /// The accumulated profile (call after the run joined its workers);
+    /// `workers` counts the workers that flushed.
+    pub fn profile(&self) -> EngineProfile {
         EngineProfile {
             step_ns: self.step_ns.load(Ordering::Relaxed),
             exchange_ns: self.exchange_ns.load(Ordering::Relaxed),
             barrier_ns: self.barrier_ns.load(Ordering::Relaxed),
             supersteps: self.supersteps.load(Ordering::Relaxed),
-            workers,
+            workers: self.workers.load(Ordering::Relaxed),
         }
     }
 }
@@ -1246,14 +1249,16 @@ mod tests {
         let sink = ProfileSink::new();
         sink.add(600, 300, 100, 50);
         sink.add(400, 200, 400, 50);
-        let p = sink.profile(2);
+        let p = sink.profile();
+        assert_eq!(p.workers, 2);
         assert_eq!(p.step_ns, 1000);
         assert_eq!(p.exchange_ns, 500);
         assert_eq!(p.barrier_ns, 500);
         assert_eq!(p.supersteps, 100);
         assert_eq!(p.total_ns(), 2000);
         assert!((p.fraction(p.step_ns) - 0.5).abs() < 1e-12);
-        let empty = ProfileSink::new().profile(1);
+        let empty = ProfileSink::new().profile();
+        assert_eq!(empty.workers, 0);
         assert_eq!(empty.fraction(0), 0.0);
     }
 

@@ -27,8 +27,8 @@
 //! mode under `cargo test -q`.
 
 use hyppi_netsim::{
-    FlightRecorder, Probe, ReferenceSimulator, RunOutcome, ShardedSimulator, SimConfig, SimStats,
-    Simulator,
+    FlightRecorder, NoopProbe, Probe, ReferenceSimulator, RunOpts, RunOutcome, ShardedSimulator,
+    SimConfig, SimError, SimStats, Simulator, Snapshot, Workload,
 };
 use hyppi_phys::{Gbps, LinkTechnology};
 use hyppi_topology::{
@@ -38,11 +38,28 @@ use hyppi_traffic::{
     BurstSpec, SyntheticPattern, TenantMap, TenantSpec, TenantWorkload, Trace, TraceEvent,
     TrafficMatrix,
 };
+use std::cell::OnceCell;
 
 /// Synthetic warm-up cycles used by every synthetic cell.
 pub const WARMUP: u64 = 100;
 /// Synthetic measured injection cycles used by every synthetic cell.
 pub const MEASURE: u64 = 400;
+
+/// Run options that pause at the cycle boundary `stop_at`.
+pub fn until(stop_at: u64) -> RunOpts<'static> {
+    RunOpts {
+        stop_at,
+        ..RunOpts::default()
+    }
+}
+
+/// Run options that continue from `snap` to completion.
+pub fn resuming(snap: &Snapshot) -> RunOpts<'_> {
+    RunOpts {
+        resume: Some(snap),
+        ..RunOpts::default()
+    }
+}
 
 /// Plain electronic mesh (1-cycle links).
 pub fn plain_mesh(w: u16, h: u16) -> Topology {
@@ -170,6 +187,10 @@ pub struct Cell {
     /// The conservative-lookahead window the sharded engine derives on
     /// this cell for the default grids (1 = per-cycle exchanges).
     pub expected_lookahead: u64,
+    /// The trace `workload()` runs (trace cells; built on first use).
+    trace: OnceCell<Trace>,
+    /// The matrix `workload()` runs (synthetic cells; built on first use).
+    matrix: OnceCell<TrafficMatrix>,
 }
 
 /// The shard grids every sharded suite pins cells on: vertical halves,
@@ -181,33 +202,31 @@ pub const GRIDS: [ShardSpec; 3] = [
 ];
 
 impl Cell {
-    /// The cell's trace (trace cells only).
-    pub fn trace(&self) -> Option<Trace> {
+    /// The cell's runnable workload; the trace or matrix is built on
+    /// first use and cached. On multi-tenant cells the matrix comes from
+    /// the tenant spec (each tenant's pattern on its own tile); the
+    /// workload `rate` is documentation only there.
+    pub fn workload(&self) -> Workload<'_> {
         match self.workload {
-            CellWorkload::Trace { seed, packets } => Some(fixture_trace(&self.topo, seed, packets)),
-            CellWorkload::Synthetic { .. } => None,
-        }
-    }
-
-    /// The cell's traffic matrix and seed (synthetic cells only). On
-    /// multi-tenant cells the matrix comes from the tenant spec (each
-    /// tenant's pattern on its own tile); the workload `rate` is
-    /// documentation only there.
-    pub fn matrix(&self) -> Option<(TrafficMatrix, u64)> {
-        match self.workload {
-            CellWorkload::Synthetic { rate, seed } => {
-                let m = match &self.tenants {
+            CellWorkload::Trace { seed, packets } => Workload::Trace(
+                self.trace
+                    .get_or_init(|| fixture_trace(&self.topo, seed, packets)),
+            ),
+            CellWorkload::Synthetic { rate, seed } => Workload::Synthetic {
+                matrix: self.matrix.get_or_init(|| match &self.tenants {
                     Some((spec, _)) => spec.matrix(&self.topo),
                     None => uniform_matrix(&self.topo, rate),
-                };
-                Some((m, seed))
-            }
-            CellWorkload::Trace { .. } => None,
+                }),
+                warmup: WARMUP,
+                measure: MEASURE,
+                seed,
+            },
         }
     }
 
-    /// Runs the cell on the P=1 production engine.
-    pub fn run_single(&self) -> SimStats {
+    /// Builds the P=1 production engine for this cell (baseline and
+    /// tenants installed).
+    pub fn single(&self) -> Simulator<'_> {
         let mut sim = Simulator::new(&self.topo, &self.routes, self.cfg);
         if let Some((h, hr)) = &self.baseline {
             sim = sim.with_baseline(h, hr);
@@ -215,23 +234,16 @@ impl Cell {
         if let Some((_, map)) = &self.tenants {
             sim = sim.with_tenants(map);
         }
-        self.drive_single(sim)
+        sim
     }
 
-    fn drive_single(&self, sim: Simulator<'_>) -> SimStats {
-        match self.workload {
-            CellWorkload::Trace { .. } => sim
-                .run_trace(&self.trace().expect("trace cell"))
-                .expect("P=1 run completes"),
-            CellWorkload::Synthetic { .. } => {
-                let (m, seed) = self.matrix().expect("synthetic cell");
-                sim.run_synthetic(&m, WARMUP, MEASURE, seed)
-                    .expect("P=1 run completes")
-            }
-        }
+    /// Runs the cell on the P=1 production engine.
+    pub fn run_single(&self) -> SimStats {
+        self.run_single_with(&mut NoopProbe)
     }
 
-    /// Runs the cell on the frozen reference engine.
+    /// Runs the cell on the frozen reference engine (which keeps its own
+    /// per-workload run API).
     pub fn run_reference(&self) -> SimStats {
         let mut sim = ReferenceSimulator::new(&self.topo, &self.routes, self.cfg);
         if let Some((h, hr)) = &self.baseline {
@@ -240,16 +252,16 @@ impl Cell {
         if let Some((_, map)) = &self.tenants {
             sim = sim.with_tenants(map);
         }
-        match self.workload {
-            CellWorkload::Trace { .. } => sim
-                .run_trace(&self.trace().expect("trace cell"))
-                .expect("reference run completes"),
-            CellWorkload::Synthetic { .. } => {
-                let (m, seed) = self.matrix().expect("synthetic cell");
-                sim.run_synthetic(&m, WARMUP, MEASURE, seed)
-                    .expect("reference run completes")
-            }
+        match self.workload() {
+            Workload::Trace(trace) => sim.run_trace(trace),
+            Workload::Synthetic {
+                matrix,
+                warmup,
+                measure,
+                seed,
+            } => sim.run_synthetic(matrix, warmup, measure, seed),
         }
+        .expect("reference run completes")
     }
 
     /// Builds the sharded engine for this cell (baseline installed).
@@ -268,22 +280,32 @@ impl Cell {
     /// Runs the cell on the sharded engine; `lookahead` caps the window
     /// (0 = the derived window, 1 = per-cycle exchanges).
     pub fn run_sharded(&self, spec: ShardSpec, threads: usize, lookahead: u64) -> SimStats {
-        let sim = self.sharded(spec, threads).with_lookahead(lookahead);
-        match self.workload {
-            CellWorkload::Trace { .. } => sim
-                .run_trace(&self.trace().expect("trace cell"))
-                .expect("sharded run completes"),
-            CellWorkload::Synthetic { .. } => {
-                let (m, seed) = self.matrix().expect("synthetic cell");
-                sim.run_synthetic(&m, WARMUP, MEASURE, seed)
-                    .expect("sharded run completes")
-            }
+        self.sharded(spec, threads)
+            .with_lookahead(lookahead)
+            .run(self.workload(), RunOpts::default(), &mut NoopProbe)
+            .expect("sharded run completes")
+            .expect_finished()
+    }
+
+    /// Runs the cell through `run` paused at `stop_at`, then resumes the
+    /// snapshot on the fresh engine `run` builds — the mid-run splice
+    /// every snapshot suite pins.
+    fn spliced(
+        &self,
+        stop_at: u64,
+        run: impl Fn(RunOpts<'_>) -> Result<RunOutcome, SimError>,
+    ) -> SimStats {
+        match run(until(stop_at)).expect("bounded run completes") {
+            RunOutcome::Finished(stats) => stats,
+            RunOutcome::Paused(snap) => run(resuming(&snap))
+                .expect("resumed run completes")
+                .expect_finished(),
         }
     }
 
     /// Runs the cell on the sharded engine, pausing at `stop_at` and
-    /// resuming the snapshot on a fresh instance — the mid-run splice
-    /// every snapshot suite pins. `lookahead` caps both halves' windows.
+    /// resuming the snapshot on a fresh instance. `lookahead` caps both
+    /// halves' windows.
     pub fn run_sharded_spliced(
         &self,
         spec: ShardSpec,
@@ -291,118 +313,38 @@ impl Cell {
         lookahead: u64,
         stop_at: u64,
     ) -> SimStats {
-        match self.workload {
-            CellWorkload::Trace { .. } => {
-                let trace = self.trace().expect("trace cell");
-                match self
-                    .sharded(spec, threads)
-                    .with_lookahead(lookahead)
-                    .run_trace_until(&trace, stop_at)
-                    .expect("bounded run completes")
-                {
-                    RunOutcome::Finished(stats) => stats,
-                    RunOutcome::Paused(snap) => self
-                        .sharded(spec, threads)
-                        .with_lookahead(lookahead)
-                        .resume_trace(&snap, &trace)
-                        .expect("resumed run completes"),
-                }
-            }
-            CellWorkload::Synthetic { .. } => {
-                let (m, seed) = self.matrix().expect("synthetic cell");
-                match self
-                    .sharded(spec, threads)
-                    .with_lookahead(lookahead)
-                    .run_synthetic_until(&m, WARMUP, MEASURE, seed, stop_at)
-                    .expect("bounded run completes")
-                {
-                    RunOutcome::Finished(stats) => stats,
-                    RunOutcome::Paused(snap) => self
-                        .sharded(spec, threads)
-                        .with_lookahead(lookahead)
-                        .resume_synthetic(&snap, &m, WARMUP, MEASURE, seed)
-                        .expect("resumed run completes"),
-                }
-            }
-        }
+        self.spliced(stop_at, |opts| {
+            self.sharded(spec, threads).with_lookahead(lookahead).run(
+                self.workload(),
+                opts,
+                &mut NoopProbe,
+            )
+        })
     }
 
     /// Runs the cell on the P=1 engine, pausing at `stop_at` and
     /// resuming the snapshot.
     pub fn run_single_spliced(&self, stop_at: u64) -> SimStats {
-        let build = || {
-            let mut sim = Simulator::new(&self.topo, &self.routes, self.cfg);
-            if let Some((h, hr)) = &self.baseline {
-                sim = sim.with_baseline(h, hr);
-            }
-            if let Some((_, map)) = &self.tenants {
-                sim = sim.with_tenants(map);
-            }
-            sim
-        };
-        match self.workload {
-            CellWorkload::Trace { .. } => {
-                let trace = self.trace().expect("trace cell");
-                match build()
-                    .run_trace_until(&trace, stop_at)
-                    .expect("bounded run completes")
-                {
-                    RunOutcome::Finished(stats) => stats,
-                    RunOutcome::Paused(snap) => build()
-                        .resume_trace(&snap, &trace)
-                        .expect("resumed run completes"),
-                }
-            }
-            CellWorkload::Synthetic { .. } => {
-                let (m, seed) = self.matrix().expect("synthetic cell");
-                match build()
-                    .run_synthetic_until(&m, WARMUP, MEASURE, seed, stop_at)
-                    .expect("bounded run completes")
-                {
-                    RunOutcome::Finished(stats) => stats,
-                    RunOutcome::Paused(snap) => build()
-                        .resume_synthetic(&snap, &m, WARMUP, MEASURE, seed)
-                        .expect("resumed run completes"),
-                }
-            }
-        }
+        self.spliced(stop_at, |opts| {
+            self.single().run(self.workload(), opts, &mut NoopProbe)
+        })
     }
 
     /// Runs the cell on the P=1 engine with `probe` attached.
     pub fn run_single_with<P: Probe>(&self, probe: &mut P) -> SimStats {
-        let mut sim = Simulator::new(&self.topo, &self.routes, self.cfg);
-        if let Some((h, hr)) = &self.baseline {
-            sim = sim.with_baseline(h, hr);
-        }
-        if let Some((_, map)) = &self.tenants {
-            sim = sim.with_tenants(map);
-        }
-        match self.workload {
-            CellWorkload::Trace { .. } => sim
-                .run_trace_probed(&self.trace().expect("trace cell"), probe)
-                .expect("probed run completes"),
-            CellWorkload::Synthetic { .. } => {
-                let (m, seed) = self.matrix().expect("synthetic cell");
-                sim.run_synthetic_probed(&m, WARMUP, MEASURE, seed, probe)
-                    .expect("probed run completes")
-            }
-        }
+        self.single()
+            .run(self.workload(), RunOpts::default(), probe)
+            .expect("P=1 run completes")
+            .expect_finished()
     }
 
     /// Runs the cell on the sharded engine with `probe` attached (probed
     /// sharded runs are forced single-worker).
     pub fn run_sharded_with<P: Probe>(&self, spec: ShardSpec, probe: &mut P) -> SimStats {
-        let sim = self.sharded(spec, 0);
-        match self.workload {
-            CellWorkload::Trace { .. } => sim
-                .run_trace_probed(&self.trace().expect("trace cell"), probe)
-                .expect("probed run completes"),
-            CellWorkload::Synthetic { .. } => {
-                let (m, seed) = self.matrix().expect("synthetic cell");
-                sim.run_synthetic_probed(&m, WARMUP, MEASURE, seed, probe)
-                    .expect("probed run completes")
-            }
-        }
+        self.sharded(spec, 0)
+            .run(self.workload(), RunOpts::default(), probe)
+            .expect("probed run completes")
+            .expect_finished()
     }
 
     /// Runs the cell on the P=1 engine with the full flight recorder
@@ -469,6 +411,8 @@ fn build(
                 workload,
                 tenants: None,
                 expected_lookahead,
+                trace: OnceCell::new(),
+                matrix: OnceCell::new(),
             }
         }
         Some(spec) => {
@@ -485,6 +429,8 @@ fn build(
                 workload,
                 tenants: None,
                 expected_lookahead,
+                trace: OnceCell::new(),
+                matrix: OnceCell::new(),
             }
         }
     }

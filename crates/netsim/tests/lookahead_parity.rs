@@ -16,8 +16,8 @@
 
 mod common;
 
-use common::cells::{self, CellWorkload, GRIDS};
-use hyppi_netsim::{ShardedSimulator, SimConfig, Simulator};
+use common::cells::{self, resuming, until, CellWorkload, GRIDS};
+use hyppi_netsim::{NoopProbe, ShardedSimulator, SimConfig, Simulator, Workload};
 use hyppi_topology::{RoutingTable, ShardSpec};
 use proptest::prelude::*;
 
@@ -115,7 +115,7 @@ fn windowed_snapshot_bytes_match_p1() {
     let trace = cells::fixture_trace(&topo, 4242, 400);
     for stop in [57u64, 301] {
         let p1 = Simulator::new(&topo, &routes, cfg)
-            .run_trace_until(&trace, stop)
+            .run(Workload::Trace(&trace), until(stop), &mut NoopProbe)
             .expect("bounded run completes")
             .expect_paused();
         for (spec, threads) in [
@@ -126,7 +126,7 @@ fn windowed_snapshot_bytes_match_p1() {
             let sim = ShardedSimulator::new(&topo, &routes, cfg, spec).with_threads(threads);
             assert_eq!(sim.lookahead(), 2);
             let snap = sim
-                .run_trace_until(&trace, stop)
+                .run(Workload::Trace(&trace), until(stop), &mut NoopProbe)
                 .expect("bounded run completes")
                 .expect_paused();
             assert_eq!(
@@ -167,6 +167,7 @@ proptest! {
         let cfg = SimConfig::paper();
         if synthetic {
             let m = cells::uniform_matrix(&topo, 0.02 + (seed % 7) as f64 * 0.02);
+            let workload = Workload::Synthetic { matrix: &m, warmup: 100, measure: 400, seed };
             let single = Simulator::new(&topo, &routes, cfg)
                 .run_synthetic(&m, 100, 400, seed)
                 .expect("P=1 run completes");
@@ -179,7 +180,7 @@ proptest! {
             let spliced = match ShardedSimulator::new(&topo, &routes, cfg, shape)
                 .with_threads(threads)
                 .with_lookahead(lookahead)
-                .run_synthetic_until(&m, 100, 400, seed, split)
+                .run(workload, until(split), &mut NoopProbe)
                 .expect("bounded run completes")
             {
                 hyppi_netsim::RunOutcome::Finished(stats) => stats,
@@ -187,8 +188,9 @@ proptest! {
                     ShardedSimulator::new(&topo, &routes, cfg, shape)
                         .with_threads(threads)
                         .with_lookahead(lookahead)
-                        .resume_synthetic(&snap, &m, 100, 400, seed)
+                        .run(workload, resuming(&snap), &mut NoopProbe)
                         .expect("resumed run completes")
+                        .expect_finished()
                 }
             };
             prop_assert_eq!(&spliced, &single);
@@ -206,7 +208,7 @@ proptest! {
             let spliced = match ShardedSimulator::new(&topo, &routes, cfg, shape)
                 .with_threads(threads)
                 .with_lookahead(lookahead)
-                .run_trace_until(&trace, split)
+                .run(Workload::Trace(&trace), until(split), &mut NoopProbe)
                 .expect("bounded run completes")
             {
                 hyppi_netsim::RunOutcome::Finished(stats) => stats,
@@ -214,8 +216,9 @@ proptest! {
                     ShardedSimulator::new(&topo, &routes, cfg, shape)
                         .with_threads(threads)
                         .with_lookahead(lookahead)
-                        .resume_trace(&snap, &trace)
+                        .run(Workload::Trace(&trace), resuming(&snap), &mut NoopProbe)
                         .expect("resumed run completes")
+                        .expect_finished()
                 }
             };
             prop_assert_eq!(&spliced, &single);

@@ -18,10 +18,13 @@
 
 mod common;
 
-use common::cells::{self, fixture_trace, uniform_matrix};
+use common::cells::{self, fixture_trace, resuming, uniform_matrix, until};
 use hyppi_netsim::reference::ReferenceSimulator;
 use hyppi_netsim::snapshot::{Snapshot, SnapshotError};
-use hyppi_netsim::{RunOutcome, ShardedSimulator, SimConfig, SimError, SimStats, Simulator};
+use hyppi_netsim::{
+    NoopProbe, RunOpts, RunOutcome, ShardedSimulator, SimConfig, SimError, SimStats, Simulator,
+    Workload,
+};
 use hyppi_phys::LinkTechnology;
 use hyppi_topology::{
     express_mesh, ExpressSpec, FaultSpec, MeshSpec, NodeId, RoutingTable, ShardSpec, Topology,
@@ -66,15 +69,16 @@ fn assert_trace_splice(topo: &Topology, cfg: SimConfig, trace: &Trace, label: &s
         .expect("whole run completes");
     for split in SPLITS {
         let spliced = match Simulator::new(topo, &routes, cfg)
-            .run_trace_until(trace, split)
+            .run(Workload::Trace(trace), until(split), &mut NoopProbe)
             .expect("bounded run completes")
         {
             RunOutcome::Finished(stats) => stats,
             RunOutcome::Paused(snap) => {
                 assert_eq!(snap.now(), split, "{label}: pause boundary");
                 Simulator::new(topo, &routes, cfg)
-                    .resume_trace(&snap, trace)
+                    .run(Workload::Trace(trace), resuming(&snap), &mut NoopProbe)
                     .expect("resumed run completes")
+                    .expect_finished()
             }
         };
         assert_eq!(spliced, whole, "{label}: split at {split}");
@@ -93,18 +97,25 @@ fn assert_synthetic_splice(
 ) -> SimStats {
     let routes = RoutingTable::compute_xy(topo);
     let m = uniform_matrix(topo, rate);
+    let workload = Workload::Synthetic {
+        matrix: &m,
+        warmup,
+        measure,
+        seed,
+    };
     let whole = Simulator::new(topo, &routes, cfg)
         .run_synthetic(&m, warmup, measure, seed)
         .expect("whole run completes");
     for split in SPLITS {
         let spliced = match Simulator::new(topo, &routes, cfg)
-            .run_synthetic_until(&m, warmup, measure, seed, split)
+            .run(workload, until(split), &mut NoopProbe)
             .expect("bounded run completes")
         {
             RunOutcome::Finished(stats) => stats,
             RunOutcome::Paused(snap) => Simulator::new(topo, &routes, cfg)
-                .resume_synthetic(&snap, &m, warmup, measure, seed)
-                .expect("resumed run completes"),
+                .run(workload, resuming(&snap), &mut NoopProbe)
+                .expect("resumed run completes")
+                .expect_finished(),
         };
         assert_eq!(spliced, whole, "{label}: split at {split}");
     }
@@ -171,14 +182,15 @@ fn trace_splice_faulted() {
     for split in SPLITS {
         let spliced = match Simulator::new(&topo, &routes, cfg)
             .with_baseline(&healthy, &healthy_routes)
-            .run_trace_until(&trace, split)
+            .run(Workload::Trace(&trace), until(split), &mut NoopProbe)
             .expect("bounded run completes")
         {
             RunOutcome::Finished(stats) => stats,
             RunOutcome::Paused(snap) => Simulator::new(&topo, &routes, cfg)
                 .with_baseline(&healthy, &healthy_routes)
-                .resume_trace(&snap, &trace)
-                .expect("resumed run completes"),
+                .run(Workload::Trace(&trace), resuming(&snap), &mut NoopProbe)
+                .expect("resumed run completes")
+                .expect_finished(),
         };
         assert_eq!(spliced, whole, "faulted splice at {split}");
     }
@@ -229,7 +241,7 @@ fn sharded_repartition_splice() {
         snaps.push((
             "P=1".into(),
             Simulator::new(&topo, &routes, cfg)
-                .run_trace_until(&trace, split)
+                .run(Workload::Trace(&trace), until(split), &mut NoopProbe)
                 .expect("bounded run completes")
                 .expect_paused(),
         ));
@@ -237,7 +249,7 @@ fn sharded_repartition_splice() {
             for threads in [1usize, 0] {
                 let snap = ShardedSimulator::new(&topo, &routes, cfg, grid)
                     .with_threads(threads)
-                    .run_trace_until(&trace, split)
+                    .run(Workload::Trace(&trace), until(split), &mut NoopProbe)
                     .expect("bounded run completes")
                     .expect_paused();
                 snaps.push((format!("{}x{} t{threads}", grid.sx, grid.sy), snap));
@@ -255,15 +267,17 @@ fn sharded_repartition_splice() {
         // …and resume to the whole-run statistics under every engine.
         let (_, snap) = &snaps[0];
         let resumed = Simulator::new(&topo, &routes, cfg)
-            .resume_trace(snap, &trace)
-            .expect("P=1 resume completes");
+            .run(Workload::Trace(&trace), resuming(snap), &mut NoopProbe)
+            .expect("P=1 resume completes")
+            .expect_finished();
         assert_eq!(resumed, whole, "P=1 resume at {split}");
         for grid in grids {
             for threads in [1usize, 0] {
                 let resumed = ShardedSimulator::new(&topo, &routes, cfg, grid)
                     .with_threads(threads)
-                    .resume_trace(snap, &trace)
-                    .expect("sharded resume completes");
+                    .run(Workload::Trace(&trace), resuming(snap), &mut NoopProbe)
+                    .expect("sharded resume completes")
+                    .expect_finished();
                 assert_eq!(
                     resumed, whole,
                     "grid {}x{} t{threads} resume at {split}",
@@ -284,25 +298,33 @@ fn p4_snapshot_restores_at_p1_and_back() {
     let cfg = SimConfig::paper_closed_loop(4);
     let m = uniform_matrix(&topo, 0.25);
     let (warmup, measure, seed) = (150u64, 500u64, 23u64);
+    let workload = Workload::Synthetic {
+        matrix: &m,
+        warmup,
+        measure,
+        seed,
+    };
     let whole = Simulator::new(&topo, &routes, cfg)
         .run_synthetic(&m, warmup, measure, seed)
         .expect("whole run completes");
     let split = 200u64;
     let p4 = ShardedSimulator::new(&topo, &routes, cfg, ShardSpec::quadrants())
-        .run_synthetic_until(&m, warmup, measure, seed, split)
+        .run(workload, until(split), &mut NoopProbe)
         .expect("bounded run completes")
         .expect_paused();
     let at_p1 = Simulator::new(&topo, &routes, cfg)
-        .resume_synthetic(&p4, &m, warmup, measure, seed)
-        .expect("P=1 resume completes");
+        .run(workload, resuming(&p4), &mut NoopProbe)
+        .expect("P=1 resume completes")
+        .expect_finished();
     assert_eq!(at_p1, whole, "P=4 snapshot resumed at P=1");
     let p1 = Simulator::new(&topo, &routes, cfg)
-        .run_synthetic_until(&m, warmup, measure, seed, split)
+        .run(workload, until(split), &mut NoopProbe)
         .expect("bounded run completes")
         .expect_paused();
     let at_p4 = ShardedSimulator::new(&topo, &routes, cfg, ShardSpec::quadrants())
-        .resume_synthetic(&p1, &m, warmup, measure, seed)
-        .expect("P=4 resume completes");
+        .run(workload, resuming(&p1), &mut NoopProbe)
+        .expect("P=4 resume completes")
+        .expect_finished();
     assert_eq!(at_p4, whole, "P=1 snapshot resumed at P=4");
 }
 
@@ -329,11 +351,12 @@ fn reference_splice_and_cross_engine_restore() {
                 // Cross-engine: the oracle's snapshot resumes on the
                 // production engine, and vice versa, to the same stats.
                 let on_fast = Simulator::new(&topo, &routes, cfg)
-                    .resume_trace(&snap, &trace)
-                    .expect("production resume completes");
+                    .run(Workload::Trace(&trace), resuming(&snap), &mut NoopProbe)
+                    .expect("production resume completes")
+                    .expect_finished();
                 assert_eq!(on_fast, whole, "reference snapshot on Simulator at {split}");
                 let fast_snap = Simulator::new(&topo, &routes, cfg)
-                    .run_trace_until(&trace, split)
+                    .run(Workload::Trace(&trace), until(split), &mut NoopProbe)
                     .expect("bounded run completes")
                     .expect_paused();
                 let on_ref = ReferenceSimulator::new(&topo, &routes, cfg)
@@ -356,6 +379,12 @@ fn reference_synthetic_splice_closed_loop_express() {
     let cfg = SimConfig::paper_closed_loop(4);
     let m = uniform_matrix(&topo, 0.20);
     let (warmup, measure, seed) = (150u64, 400u64, 31u64);
+    let workload = Workload::Synthetic {
+        matrix: &m,
+        warmup,
+        measure,
+        seed,
+    };
     let whole = ReferenceSimulator::new(&topo, &routes, cfg)
         .run_synthetic(&m, warmup, measure, seed)
         .expect("whole run completes");
@@ -369,8 +398,9 @@ fn reference_synthetic_splice_closed_loop_express() {
             .expect("resumed run completes");
         assert_eq!(spliced, whole, "reference synthetic splice at {split}");
         let cross = Simulator::new(&topo, &routes, cfg)
-            .resume_synthetic(&snap, &m, warmup, measure, seed)
-            .expect("cross resume completes");
+            .run(workload, resuming(&snap), &mut NoopProbe)
+            .expect("cross resume completes")
+            .expect_finished();
         assert_eq!(cross, whole, "cross-engine synthetic splice at {split}");
     }
 }
@@ -384,7 +414,7 @@ fn restore_rejects_mismatches() {
     let cfg = SimConfig::paper();
     let trace = fixture_trace(&topo, 1, 300);
     let snap = Simulator::new(&topo, &routes, cfg)
-        .run_trace_until(&trace, 57)
+        .run(Workload::Trace(&trace), until(57), &mut NoopProbe)
         .expect("bounded run completes")
         .expect_paused();
 
@@ -394,7 +424,7 @@ fn restore_rejects_mismatches() {
         ..SimConfig::paper()
     };
     let err = Simulator::new(&topo, &routes, other_cfg)
-        .resume_trace(&snap, &trace)
+        .run(Workload::Trace(&trace), resuming(&snap), &mut NoopProbe)
         .expect_err("vcs=2 plan must reject");
     assert_eq!(err, SimError::Snapshot(SnapshotError::PlanMismatch));
 
@@ -402,14 +432,22 @@ fn restore_rejects_mismatches() {
     let other_topo = small_mesh(4, 4);
     let other_routes = RoutingTable::compute_xy(&other_topo);
     let err = Simulator::new(&other_topo, &other_routes, cfg)
-        .resume_trace(&snap, &fixture_trace(&other_topo, 1, 50))
+        .run(
+            Workload::Trace(&fixture_trace(&other_topo, 1, 50)),
+            resuming(&snap),
+            &mut NoopProbe,
+        )
         .expect_err("4x4 plan must reject");
     assert_eq!(err, SimError::Snapshot(SnapshotError::PlanMismatch));
 
     // Different trace → workload fingerprint mismatch.
     let other_trace = fixture_trace(&topo, 2, 300);
     let err = Simulator::new(&topo, &routes, cfg)
-        .resume_trace(&snap, &other_trace)
+        .run(
+            Workload::Trace(&other_trace),
+            resuming(&snap),
+            &mut NoopProbe,
+        )
         .expect_err("different trace must reject");
     assert_eq!(err, SimError::Snapshot(SnapshotError::WorkloadMismatch));
 
@@ -418,7 +456,7 @@ fn restore_rejects_mismatches() {
     let cut = Snapshot::from_bytes(bytes[..bytes.len() - 3].to_vec())
         .expect("header is intact, construction succeeds");
     let err = Simulator::new(&topo, &routes, cfg)
-        .resume_trace(&cut, &trace)
+        .run(Workload::Trace(&trace), resuming(&cut), &mut NoopProbe)
         .expect_err("truncated snapshot must reject");
     assert_eq!(err, SimError::Snapshot(SnapshotError::Truncated));
 
@@ -433,6 +471,72 @@ fn restore_rejects_mismatches() {
     newer[8] = 0xFE;
     let err = Snapshot::from_bytes(newer).expect_err("future version must reject");
     assert_eq!(err, SnapshotError::BadVersion { found: 0xFE });
+}
+
+/// A measured packet injected after the snapshot boundary would underflow
+/// its latency (`now + 1 - inject_cycle`) when it ejects: restore rejects
+/// it as corrupt. Injection at the boundary and the unmeasured
+/// `u64::MAX` marker stay legal.
+#[test]
+fn corrupt_snapshot_rejects_injection_after_its_boundary() {
+    let topo = small_mesh(4, 4);
+    let routes = RoutingTable::compute_xy(&topo);
+    let cfg = SimConfig::paper();
+    let restore = |inject_cycle: u64, now: u64| {
+        let mut sim = Simulator::new(&topo, &routes, cfg);
+        sim.admit(NodeId(0), NodeId(15), 4, inject_cycle);
+        let snap = sim.snapshot(now);
+        Simulator::new(&topo, &routes, cfg).restore(&snap).err()
+    };
+    assert_eq!(
+        restore(30, 10),
+        Some(SimError::Snapshot(SnapshotError::Corrupt))
+    );
+    assert_eq!(restore(10, 10), None);
+    assert_eq!(restore(u64::MAX, 10), None);
+}
+
+/// A body flit in flight toward an idle, empty VC would enter it without
+/// a head, corrupting the VC state machine: restore rejects it as
+/// corrupt.
+#[test]
+fn corrupt_snapshot_rejects_body_flit_entering_an_idle_vc() {
+    // One single-flit packet across a 2-cycle link; pause while it is in
+    // flight. The links section is last in the format and holds just
+    // this event, so its flag byte (head | tail = 3) ends the event,
+    // which sits either last or before the other link's empty count.
+    let topo = cells::hyppi_mesh(2, 1);
+    let routes = RoutingTable::compute_xy(&topo);
+    let cfg = SimConfig::paper();
+    let events = vec![TraceEvent {
+        cycle: 0,
+        src: NodeId(0),
+        dst: NodeId(1),
+        flits: 1,
+    }];
+    let trace = Trace::new("one flit", 2, 0.0, events);
+    let (mut bytes, flags) = (1..8)
+        .find_map(|stop| {
+            let snap = Simulator::new(&topo, &routes, cfg)
+                .run(Workload::Trace(&trace), until(stop), &mut NoopProbe)
+                .expect("bounded run completes")
+                .expect_paused();
+            let b = snap.into_bytes();
+            let n = b.len();
+            [n - 1, n - 5]
+                .into_iter()
+                .find(|&i| b[i] == 3)
+                .map(|i| (b, i))
+        })
+        .expect("the flit is in flight at some cycle");
+    let intact = Snapshot::from_bytes(bytes.clone()).expect("header intact");
+    assert!(Simulator::new(&topo, &routes, cfg).restore(&intact).is_ok());
+    bytes[flags] = 2; // tail only: a body flit
+    let damaged = Snapshot::from_bytes(bytes).expect("header intact");
+    assert_eq!(
+        Simulator::new(&topo, &routes, cfg).restore(&damaged).err(),
+        Some(SimError::Snapshot(SnapshotError::Corrupt))
+    );
 }
 
 /// A manual-stepping snapshot (no workload pinned) resumes under any
@@ -476,7 +580,7 @@ fn manual_snapshot_resumes_into_trace_run() {
         .run_trace(&trace)
         .expect("whole run completes");
     // Manually step through the first 20 cycles (admitting as the run
-    // loop would), snapshot, then hand off to `resume_trace`.
+    // loop would), snapshot, then hand off to a resumed run.
     let mut sim = Simulator::new(&topo, &routes, cfg);
     let mut events = mk_events();
     events.retain(|e| {
@@ -491,8 +595,9 @@ fn manual_snapshot_resumes_into_trace_run() {
     let snap = sim.snapshot(20);
     assert_eq!(snap.now(), 20);
     let resumed = Simulator::new(&topo, &routes, cfg)
-        .resume_trace(&snap, &trace)
-        .expect("resumed run completes");
+        .run(Workload::Trace(&trace), resuming(&snap), &mut NoopProbe)
+        .expect("resumed run completes")
+        .expect_finished();
     assert_eq!(resumed, whole);
 }
 
@@ -554,7 +659,7 @@ proptest! {
 
         // Production splice.
         let outcome = Simulator::new(&topo, &routes, cfg)
-            .run_trace_until(&trace, split)
+            .run(Workload::Trace(&trace), until(split), &mut NoopProbe)
             .expect("bounded run completes");
         let snap = match outcome {
             RunOutcome::Finished(stats) => {
@@ -564,14 +669,16 @@ proptest! {
             RunOutcome::Paused(snap) => snap,
         };
         let resumed = Simulator::new(&topo, &routes, cfg)
-            .resume_trace(&snap, &trace)
-            .expect("resumed run completes");
+            .run(Workload::Trace(&trace), resuming(&snap), &mut NoopProbe)
+            .expect("resumed run completes")
+            .expect_finished();
         prop_assert_eq!(&resumed, &whole);
 
         // Sharded restore of the same snapshot.
         let sharded = ShardedSimulator::new(&topo, &routes, cfg, ShardSpec { sx: 2, sy: 1 })
-            .resume_trace(&snap, &trace)
-            .expect("sharded resume completes");
+            .run(Workload::Trace(&trace), resuming(&snap), &mut NoopProbe)
+            .expect("sharded resume completes")
+            .expect_finished();
         prop_assert_eq!(&sharded, &whole);
 
         // Reference-engine restore of the same snapshot.
@@ -611,5 +718,62 @@ proptest! {
             );
         }
         pending.clear();
+    }
+}
+
+// ---- property: damaged snapshot bytes never panic ------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Untrusted snapshot bytes — truncated, byte-flipped, or with a
+    /// random u32 spliced in — either fail with a typed error or resume
+    /// into a well-formed run: `from_bytes`, `restore` and a bounded
+    /// resumed `run` never panic (`docs/SNAPSHOT_FORMAT.md` promises
+    /// decoding never panics on untrusted input).
+    #[test]
+    fn damaged_snapshots_never_panic(
+        closed in prop_oneof![Just(false), Just(true)],
+        sharded in prop_oneof![Just(false), Just(true)],
+        damage in 0u8..3,
+        at in 0.0f64..1.0,
+        value in 0u32..u32::MAX,
+    ) {
+        let topo = small_mesh(8, 8);
+        let routes = RoutingTable::compute_xy(&topo);
+        let cfg = if closed {
+            SimConfig::paper_closed_loop(4)
+        } else {
+            SimConfig::paper()
+        };
+        let trace = fixture_trace(&topo, 4242, 400);
+        let workload = Workload::Trace(&trace);
+        let mut bytes = Simulator::new(&topo, &routes, cfg)
+            .run(workload, until(57), &mut NoopProbe)
+            .expect("bounded run completes")
+            .expect_paused()
+            .into_bytes();
+        let pos = ((bytes.len() as f64 * at) as usize).min(bytes.len() - 4);
+        match damage {
+            0 => bytes.truncate(pos),
+            1 => bytes[pos] ^= value as u8 | 1,
+            _ => bytes[pos..pos + 4].copy_from_slice(&value.to_le_bytes()),
+        }
+        let Ok(snap) = Snapshot::from_bytes(bytes) else {
+            return Ok(());
+        };
+        if Simulator::new(&topo, &routes, cfg).restore(&snap).is_err() {
+            return Ok(());
+        }
+        let opts = RunOpts {
+            stop_at: snap.now().saturating_add(3000),
+            ..resuming(&snap)
+        };
+        let _ = if sharded {
+            ShardedSimulator::new(&topo, &routes, cfg, ShardSpec { sx: 2, sy: 1 })
+                .run(workload, opts, &mut NoopProbe)
+        } else {
+            Simulator::new(&topo, &routes, cfg).run(workload, opts, &mut NoopProbe)
+        };
     }
 }

@@ -17,7 +17,8 @@ mod common;
 use common::cells;
 use hyppi_netsim::telemetry::PacketEventKind;
 use hyppi_netsim::{
-    FlightRecorder, MetricsSampler, ShardedSimulator, SimConfig, Simulator, StallCause,
+    FlightRecorder, MetricsSampler, NoopProbe, ProfileSink, RunOpts, ShardedSimulator, SimConfig,
+    Simulator, StallCause, Workload,
 };
 use hyppi_phys::{Gbps, LinkTechnology};
 use hyppi_topology::{
@@ -103,14 +104,53 @@ fn single_shard_run_never_syncs() {
     let plain = Simulator::new(&topo, &routes, SimConfig::paper())
         .run_trace(&trace)
         .expect("plain run completes");
-    let (profiled, prof) =
-        ShardedSimulator::new(&topo, &routes, SimConfig::paper(), ShardSpec::SINGLE)
-            .run_trace_profiled(&trace)
-            .expect("profiled run completes");
+    let sink = ProfileSink::new();
+    let opts = RunOpts {
+        profile: Some(&sink),
+        ..RunOpts::default()
+    };
+    let profiled = ShardedSimulator::new(&topo, &routes, SimConfig::paper(), ShardSpec::SINGLE)
+        .run(Workload::Trace(&trace), opts, &mut NoopProbe)
+        .expect("profiled run completes")
+        .expect_finished();
     assert_eq!(profiled, plain);
+    let prof = sink.profile();
     assert_eq!(prof.workers, 1);
     assert!(prof.supersteps > 0);
     assert_eq!(prof.barrier_ns, 0);
+}
+
+/// The profile counts the workers that actually ran: a probed run is
+/// single-worker whatever the thread cap, an unprobed one uses the cap.
+#[test]
+fn profile_counts_the_workers_that_ran() {
+    let topo = grid(6, 6);
+    let routes = RoutingTable::compute_xy(&topo);
+    let trace = cells::fixture_trace(&topo, 5, 200);
+    let profile = |probed: bool| {
+        let sink = ProfileSink::new();
+        let opts = RunOpts {
+            profile: Some(&sink),
+            ..RunOpts::default()
+        };
+        let sim = ShardedSimulator::new(
+            &topo,
+            &routes,
+            SimConfig::paper(),
+            ShardSpec { sx: 2, sy: 1 },
+        )
+        .with_threads(2);
+        let run = if probed {
+            let mut sampler = MetricsSampler::new(50);
+            sim.run(Workload::Trace(&trace), opts, &mut sampler)
+        } else {
+            sim.run(Workload::Trace(&trace), opts, &mut NoopProbe)
+        };
+        run.expect("profiled run completes").expect_finished();
+        sink.profile()
+    };
+    assert_eq!(profile(true).workers, 1, "probed runs are single-worker");
+    assert_eq!(profile(false).workers, 2);
 }
 
 proptest! {
