@@ -9,10 +9,9 @@
 
 use crate::model::NocModel;
 use hyppi_netsim::EnergyCounts;
-use serde::{Deserialize, Serialize};
 
 /// Dynamic-energy breakdown for one workload on one network.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyBreakdown {
     /// Per-flit router traversal energy, joules.
     pub router_j: f64,

@@ -4,7 +4,6 @@ use hyppi_dsent::{ElectricalLinkModel, OpticalLinkModel, RouterConfig, RouterMod
 use hyppi_phys::LinkTechnology;
 use hyppi_topology::{LinkLoads, RoutingTable, Topology, ROUTER_PIPELINE_CYCLES};
 use hyppi_traffic::TrafficMatrix;
-use serde::{Deserialize, Serialize};
 
 /// Core clock frequency, GHz (Table II: 0.78125 GHz so a 64-bit flit per
 /// cycle matches the 50 Gb/s links).
@@ -29,7 +28,7 @@ pub struct NocModel {
 
 /// Every factor of the system-level CLEAR, reported separately
 /// (the paper's Fig. 5 shows CLEAR, Latency, Power and Area panels).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NocEvaluation {
     /// Aggregate link capacity per node, Gb/s (Table III "C").
     pub capability_gbps_per_node: f64,

@@ -90,6 +90,30 @@ fn telemetry_opts(args: &[String]) -> TelemetryOpts {
     }
 }
 
+/// Parsed `--shards N` (default 4). Every sharded experiment cuts a
+/// 32×32 mesh (`tenant_sweep` adds 64×64), so N must be at least 1 and
+/// its `ShardSpec::for_count` grid must fit 32×32.
+fn shards_flag(args: &[String]) -> Result<usize, String> {
+    let Some(s) = flag_value(args, "--shards") else {
+        return Ok(4);
+    };
+    let shards: usize = s.parse().map_err(|_| format!("bad --shards value '{s}'"))?;
+    if shards == 0 {
+        return Err("--shards must be >= 1".into());
+    }
+    // Bounding N first keeps `for_count`'s u16 tile counts from wrapping.
+    let fits = shards <= 32 * 32 && {
+        let grid = ShardSpec::for_count(shards);
+        grid.sx <= 32 && grid.sy <= 32
+    };
+    if !fits {
+        return Err(format!(
+            "--shards {shards}: its shard grid does not fit the 32x32 mesh"
+        ));
+    }
+    Ok(shards)
+}
+
 /// Unwraps a `*_recorded` driver result and reports its artifacts.
 fn report_recorded<T>(result: std::io::Result<(T, Vec<String>)>) -> T {
     match result {
@@ -117,6 +141,12 @@ fn main() {
         .unwrap_or_else(|| "all".into());
     let all = arg == "all";
     let mut ran = false;
+    let shard_count = || {
+        shards_flag(&args).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        })
+    };
 
     if all || arg == "table1" {
         ran = true;
@@ -209,14 +239,7 @@ fn main() {
         // run to credit-limited NICs (accepted-load curves flatten at
         // the plateau instead of tracking offered load).
         ran = true;
-        let shards: usize = flag_value(&args, "--shards")
-            .map(|s| {
-                s.parse().unwrap_or_else(|_| {
-                    eprintln!("bad --shards value '{s}'");
-                    std::process::exit(2);
-                })
-            })
-            .unwrap_or(4);
+        let shards = shard_count();
         let closed_loop: Option<usize> = flag_value(&args, "--closed-loop").map(|s| {
             let window = s.parse().unwrap_or_else(|_| {
                 eprintln!("bad --closed-loop value '{s}'");
@@ -250,14 +273,7 @@ fn main() {
         // A rescaled 1024-rank NPB window on the 32×32 mesh through the
         // sharded engine, bit-for-bit shard parity asserted inside.
         ran = true;
-        let shards: usize = flag_value(&args, "--shards")
-            .map(|s| {
-                s.parse().unwrap_or_else(|_| {
-                    eprintln!("bad --shards value '{s}'");
-                    std::process::exit(2);
-                })
-            })
-            .unwrap_or(4);
+        let shards = shard_count();
         let kernels: Vec<NpbKernel> = match flag_value(&args, "--kernel") {
             None => vec![NpbKernel::Cg],
             Some(k) if k.eq_ignore_ascii_case("all") => NpbKernel::ALL.to_vec(),
@@ -332,14 +348,7 @@ fn main() {
         // and closed loop, 16x16 plus the sharded 32x32 scale-up; minutes
         // of runtime, on-demand only.
         ran = true;
-        let shards: usize = flag_value(&args, "--shards")
-            .map(|s| {
-                s.parse().unwrap_or_else(|_| {
-                    eprintln!("bad --shards value '{s}'");
-                    std::process::exit(2);
-                })
-            })
-            .unwrap_or(4);
+        let shards = shard_count();
         let cold = args.iter().any(|a| a == "--cold");
         println!("## Fault sweep — saturation + tails vs. fault count ({shards} shards on 32x32)");
         let r = report_recorded(hyppi::experiments::fault_sweep_recorded(
@@ -356,14 +365,7 @@ fn main() {
         // the 32x32 and 64x64 meshes, open and closed loop; minutes of
         // runtime, on-demand only.
         ran = true;
-        let shards: usize = flag_value(&args, "--shards")
-            .map(|s| {
-                s.parse().unwrap_or_else(|_| {
-                    eprintln!("bad --shards value '{s}'");
-                    std::process::exit(2);
-                })
-            })
-            .unwrap_or(4);
+        let shards = shard_count();
         println!(
             "## Tenant sweep — victim tails vs. aggressor load ({shards} shards, 32x32 + 64x64)"
         );
@@ -469,5 +471,24 @@ fn sweep_rate() {
             print!("  r={rate:<4} CLEAR {:>8.4}", eval.clear);
         }
         println!();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::shards_flag;
+
+    fn shards(value: &str) -> Result<usize, String> {
+        shards_flag(&["--shards".to_string(), value.to_string()])
+    }
+
+    #[test]
+    fn shards_flag_accepts_fitting_counts_and_rejects_the_rest() {
+        assert_eq!(shards_flag(&[]), Ok(4));
+        assert_eq!(shards("4"), Ok(4));
+        assert_eq!(shards("1024"), Ok(1024));
+        for bad in ["0", "abc", "-1", "37", "1025", "99999999999"] {
+            assert!(shards(bad).is_err(), "--shards {bad} accepted");
+        }
     }
 }

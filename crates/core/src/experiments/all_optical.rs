@@ -2,10 +2,9 @@
 
 use crate::table::TextTable;
 use hyppi_optical::{all_optical_projection, OpticalRouterModel, RadarPoint};
-use serde::{Deserialize, Serialize};
 
 /// The Fig. 8 dataset: three radar points plus normalized triangle areas.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig8Result {
     /// Electronic mesh, all-photonic, all-HyPPI.
     pub points: [RadarPoint; 3],

@@ -13,7 +13,6 @@ use hyppi_analytic::{parallel_map, NocEvaluation, NocModel};
 use hyppi_phys::LinkTechnology;
 use hyppi_topology::{express_mesh, mesh, ExpressSpec, MeshSpec};
 use hyppi_traffic::SoteriouConfig;
-use serde::{Deserialize, Serialize};
 
 /// Base-mesh technologies explored at the NoC level.
 pub const BASE_TECHS: [LinkTechnology; 3] = [
@@ -26,7 +25,7 @@ pub const BASE_TECHS: [LinkTechnology; 3] = [
 pub const SPANS: [u16; 3] = [3, 5, 15];
 
 /// One evaluated configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesignPoint {
     /// Base mesh technology.
     pub base: LinkTechnology,
@@ -47,7 +46,7 @@ impl DesignPoint {
 }
 
 /// The full Fig. 5 dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig5Result {
     /// All 30 evaluated design points.
     pub points: Vec<DesignPoint>,

@@ -25,15 +25,13 @@
 //! (sharded engine, same methodology as [`super::load_sweep::load_sweep32`]);
 //! `repro fault_sweep` regenerates it and `--json PATH` exports the
 //! dataset through [`FaultSweepResult::to_json`] (shared
-//! `hyppi_netsim::json` writer — the vendored `serde` derives are
-//! no-ops).
+//! `hyppi_netsim::json` writer).
 
 use crate::table::TextTable;
 use hyppi_netsim::{SimConfig, SweepConfig, SweepRunner, TelemetryOpts};
 use hyppi_phys::LinkTechnology;
 use hyppi_topology::{mesh, FaultSpec, MeshSpec, RoutingTable, Topology};
 use hyppi_traffic::SyntheticPattern;
-use serde::{Deserialize, Serialize};
 
 use super::load_sweep::{CLOSED_LOOP_WINDOW, SWEEP_MAX_RATE};
 
@@ -50,7 +48,7 @@ pub const FAULT_COUNTS_32: [usize; 3] = [0, 4, 8];
 
 /// One measured fault set: a sampled spec, its saturation search and its
 /// probe-rate latency/resilience counters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultSweepCell {
     /// Number of faulted spans in the sample.
     pub fault_count: usize,
@@ -81,7 +79,7 @@ pub struct FaultSweepCell {
 }
 
 /// One resilience curve: (mesh, injection mode) × fault-count grid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultSweepCurve {
     /// Mesh + injection-mode label, e.g. `"mesh16 open-loop"`.
     pub label: String,
@@ -105,7 +103,7 @@ impl FaultSweepCurve {
 }
 
 /// The fault-sweep dataset: one curve per (mesh, injection mode).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultSweepResult {
     /// All swept curves.
     pub curves: Vec<FaultSweepCurve>,
@@ -193,7 +191,7 @@ impl FaultSweepResult {
         out
     }
 
-    /// Serializes the dataset as plot-ready JSON: one object per curve
+    /// Renders the dataset as plot-ready JSON: one object per curve
     /// with its sampled cells plus the flattened saturation-vs-fault-count
     /// summary. Built on the shared [`hyppi_netsim::json`] writer, same
     /// pattern as [`super::load_sweep::LoadSweepResult::to_json`].

@@ -3,10 +3,9 @@
 use crate::link_clear::{fig3_lengths, link_clear_sweep, LinkClearPoint};
 use crate::table::{eng, TextTable};
 use hyppi_phys::{LinkTechnology, Micrometers};
-use serde::{Deserialize, Serialize};
 
 /// The Fig. 3 dataset: one CLEAR series per technology.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig3Result {
     /// All evaluated points (4 technologies × length grid).
     pub points: Vec<LinkClearPoint>,

@@ -14,15 +14,13 @@
 //! every run through the sharded engine
 //! (`hyppi_netsim::ShardedSimulator`), and [`LoadSweepResult::to_json`]
 //! emits the whole dataset — curves and saturation table — as plot-ready
-//! JSON via the shared `hyppi_netsim::json` writer (the vendored `serde`
-//! derives are no-ops).
+//! JSON via the shared `hyppi_netsim::json` writer.
 
 use crate::table::TextTable;
 use hyppi_netsim::{LoadCurve, SimConfig, SweepConfig, SweepRunner, TelemetryOpts};
 use hyppi_phys::LinkTechnology;
 use hyppi_topology::{express_mesh, mesh, ExpressSpec, MeshSpec, RoutingTable, Topology};
 use hyppi_traffic::{BurstSpec, NpbKernel, SyntheticPattern};
-use serde::{Deserialize, Serialize};
 
 /// The default offered-load grid, flits per node per cycle (the paper
 /// sweeps injection rates 0.01–0.1 for the analytic model; the
@@ -34,7 +32,7 @@ pub const SWEEP_RATES: [f64; 7] = [0.02, 0.05, 0.08, 0.12, 0.16, 0.22, 0.30];
 pub const SWEEP_MAX_RATE: f64 = 0.6;
 
 /// The load-sweep dataset: one curve per (pattern, topology) pair.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LoadSweepResult {
     /// All swept curves.
     pub curves: Vec<LoadCurve>,
@@ -122,12 +120,11 @@ impl LoadSweepResult {
         out
     }
 
-    /// Serializes the dataset as plot-ready JSON: one object per curve
+    /// Renders the dataset as plot-ready JSON: one object per curve
     /// with its grid points (offered/accepted load, mean and tail
     /// latencies, stability) and the saturation-search outcome, plus the
     /// flattened saturation table. Built on the shared
-    /// [`hyppi_netsim::json`] writer (the vendored `serde` is a no-op
-    /// stand-in).
+    /// [`hyppi_netsim::json`] writer.
     pub fn to_json(&self) -> String {
         use hyppi_netsim::json::{Json, Obj};
         let curves = self
@@ -523,8 +520,8 @@ mod tests {
         ] {
             assert!(j.contains(key), "missing {key} in:\n{j}");
         }
-        // Balanced braces/brackets (a cheap well-formedness check given
-        // the vendored serde cannot parse).
+        // Balanced braces/brackets (a cheap well-formedness check; the
+        // workspace has no JSON parser).
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
         // Two grid points per curve.

@@ -15,13 +15,12 @@ use hyppi_netsim::{
 use hyppi_phys::{Gbps, LinkTechnology};
 use hyppi_topology::{express_mesh, mesh, ExpressSpec, MeshSpec, RoutingTable, Topology};
 use hyppi_traffic::{NpbKernel, NpbTraceSpec, ScaledNpbSpec, Trace};
-use serde::{Deserialize, Serialize};
 
 /// Express spans evaluated (0 = plain mesh).
 pub const FIG6_SPANS: [u16; 4] = [0, 3, 5, 15];
 
 /// Latency of one (kernel, span) cell.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig6Cell {
     /// NPB kernel.
     pub kernel: NpbKernel,
@@ -32,7 +31,7 @@ pub struct Fig6Cell {
 }
 
 /// The Fig. 6 dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig6Result {
     /// All (kernel × span) cells.
     pub cells: Vec<Fig6Cell>,
@@ -126,7 +125,7 @@ pub fn fig6() -> Fig6Result {
 /// One cell of the 32×32 scale-up: a rescaled 1024-rank NPB window run
 /// through the sharded engine, with bit-for-bit shard parity asserted
 /// against the P=1 engine.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Npb32Cell {
     /// NPB kernel (rescaled via [`ScaledNpbSpec::mesh32`]).
     pub kernel: NpbKernel,
@@ -305,7 +304,7 @@ pub fn npb32_resume(
 }
 
 /// One Table V row: total dynamic energy for the FT benchmark.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Table5Cell {
     /// Express technology.
     pub tech: LinkTechnology,
@@ -316,7 +315,7 @@ pub struct Table5Cell {
 }
 
 /// The Table V dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table5Result {
     /// Plain electronic mesh baseline, joules.
     pub base_energy_j: f64,

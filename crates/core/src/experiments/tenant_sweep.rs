@@ -23,7 +23,6 @@ use hyppi_netsim::{LoadPoint, SimConfig, SweepConfig, SweepRunner};
 use hyppi_phys::{Gbps, LinkTechnology};
 use hyppi_topology::{mesh, MeshSpec, RoutingTable, Topology};
 use hyppi_traffic::{NpbKernel, SyntheticPattern, TenantSpec, TenantWorkload};
-use serde::{Deserialize, Serialize};
 
 /// The victim tenant's fixed offered load (flits per tile node per
 /// cycle) — moderate, so its tails have headroom to degrade.
@@ -38,7 +37,7 @@ pub const TENANT_CLOSED_LOOP_WINDOW: usize = 32;
 
 /// One interference curve: the victim/aggressor layout on one mesh and
 /// injection mode, measured over the aggressor's rate grid.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TenantSweepCurve {
     /// Mesh + injection-mode label, e.g. `"mesh32 closed-loop"`.
     pub label: String,
@@ -52,7 +51,7 @@ pub struct TenantSweepCurve {
 }
 
 /// The tenant-interference dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TenantSweepResult {
     /// All swept curves.
     pub curves: Vec<TenantSweepCurve>,
@@ -105,7 +104,7 @@ impl TenantSweepResult {
         out
     }
 
-    /// Serializes the dataset as plot-ready JSON via the shared
+    /// Renders the dataset as plot-ready JSON via the shared
     /// [`hyppi_netsim::json`] writer: one object per curve, one point
     /// per aggressor rate with both tenants' latency tails and accepted
     /// throughputs alongside the aggregate columns.

@@ -21,7 +21,6 @@ use hyppi_phys::{
     electronic_wire_params, laser_power_mw, LinkTechnology, LossBudget, Micrometers,
     TechnologyParams,
 };
-use serde::{Deserialize, Serialize};
 
 /// Wavelength lanes assumed for the bare WDM photonic link.
 pub const PHOTONIC_WDM_LANES: u32 = 16;
@@ -30,7 +29,7 @@ pub const PHOTONIC_WDM_LANES: u32 = 16;
 pub const BARE_CONVERSION_PS: f64 = 100.0;
 
 /// One evaluated point of Fig. 3.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkClearPoint {
     /// Technology evaluated.
     pub tech: LinkTechnology,

@@ -11,10 +11,9 @@ use crate::components::{
 };
 use crate::tech::TechNode;
 use hyppi_phys::{Femtojoules, Milliwatts, SquareMicrometers};
-use serde::{Deserialize, Serialize};
 
 /// Router microarchitecture parameters (Table II).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RouterConfig {
     /// Number of ports (5 base, 6/7 hybrid).
     pub ports: u32,

@@ -6,14 +6,12 @@
 //! analysis, using 11 nm technology node"); the larger nodes exist for
 //! scaling studies and tests of the scaling behaviour itself.
 
-use serde::{Deserialize, Serialize};
-
 /// Electrical technology-node parameters used by all component models.
 ///
 /// Values are in the units stated per field. They follow generalized
 /// constant-field scaling from published 45 nm numbers, with the 11 nm
 /// column calibrated against the paper's anchors (see crate docs).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TechNode {
     /// Feature size in nanometers (45, 32, 22, 14, 11).
     pub feature_nm: u32,

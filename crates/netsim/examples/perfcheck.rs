@@ -1,45 +1,47 @@
 //! NPB latency matrix + sweep throughput + engine performance record.
 //!
-//! Runs NPB kernel × express span cells of the Fig. 6 grid on the
-//! active-set engine, reporting latency (mean and p50/p95/p99 tails),
-//! simulation throughput (cycles/s and Mflit-hops/s), and — unless
-//! `--fast` is given — the wall-clock speedup over the frozen seed engine
-//! (`reference::ReferenceSimulator`) on the identical workload, with
-//! bit-for-bit parity asserted. A load-sweep section then exercises the
-//! batch runner (`hyppi_netsim::sweep`) and records its throughput
-//! (runs/s, aggregate simulated cycles/s) plus the uniform saturation
-//! load; a closed-loop section runs the 16×16 uniform cell past the
-//! saturation knee with a credit-limited NIC window (parity asserted on
-//! all three engines, accepted throughput recorded); and a
-//! shard-scaling section times a 32×32 uniform cell on the sharded
-//! engine (P=1 vs `--shards N`, parity asserted, host parallelism
-//! recorded so single-core CI numbers read honestly); a
-//! conservative-lookahead section (skipped under `--quick` unless
-//! `--lookahead` is given) records the 1/2/4/8-shard scaling curve on
-//! all-HyPPI 16×16/32×32/64×64 meshes — every cut windows at W=2 —
-//! with each cell parity-asserted against P=1 and the barrier share of
-//! superstep time profiled per-cycle vs windowed; a snapshot
-//! section pins the checkpoint/restore splice (pause + resume ==
-//! uninterrupted, restored on all three engines) and records snapshot
-//! bytes/node, save/restore µs, and the warm-start sweep multiple on
-//! the 16×16 rate grid (see `docs/SNAPSHOT_FORMAT.md`); and a fault
-//! section runs a faulty 16×16 cell (dead link + degraded span + dead
-//! router, faults on the quadrant cuts) with bit-for-bit parity asserted
-//! across all three engines, then records compact
-//! saturation-vs-fault-count curves on the 16×16 and 32×32 meshes
-//! (seeded fault samples, up*/down* detour routes); and a telemetry
-//! section pins the flight-recorder overhead contract: the probed
-//! engine with `NoopProbe` must stay within 1.05× of the plain engine
-//! on the sharded 32×32 cell (interleaved best-of-3), a full
-//! `FlightRecorder` run is parity-asserted and its sample/event counts
-//! recorded, and `run_synthetic_profiled` supplies the per-superstep
-//! phase breakdown (step vs exchange vs barrier wall time). Pass
-//! `--metrics PATH` / `--trace PATH` to also export that recorder run's
-//! metrics JSONL and packet trace (`.jsonl` suffix for JSONL events,
-//! anything else for Chrome `trace_event` JSON — see
-//! `docs/OBSERVABILITY.md`). Results are
-//! written to `BENCH_netsim.json` (in the current directory) so future
-//! PRs can track the perf trajectory; the `engine` field names the
+//! Runs the sections below in order, prints one line per measurement,
+//! and writes the record to `BENCH_netsim.json` (in the current
+//! directory) under one top-level key per section:
+//!
+//! - `cells` / `aggregate` — NPB kernel × express span cells of the
+//!   Fig. 6 grid on the active-set engine: latency (mean, p50, p99),
+//!   cycles/s and Mflit-hops/s and, unless `--fast`, the wall-clock
+//!   speedup over the frozen seed engine
+//!   (`reference::ReferenceSimulator`) with bit-for-bit parity asserted.
+//! - `sweep` — the batch runner (`hyppi_netsim::sweep`) on an 8×8
+//!   uniform rate grid plus saturation search: runs/s, simulated
+//!   cycles/s, saturation load.
+//! - `closed_loop` — the 16×16 uniform cell past the saturation knee
+//!   with a credit-limited NIC window; accepted throughput recorded.
+//! - `shard_scaling` — a 32×32 uniform cell on P=1 vs `--shards N`,
+//!   threaded and forced sequential, parity asserted.
+//! - `lookahead_scaling` (skipped under `--quick` unless `--lookahead`)
+//!   — 1/2/4/8-shard curves on all-HyPPI 16×16/32×32/64×64 meshes,
+//!   where every cut windows at W=2, with the barrier share of superstep
+//!   time profiled per-cycle vs windowed.
+//! - `telemetry` — the probes-off gate, a full `FlightRecorder` run and
+//!   the step/exchange/barrier profile on the sharded 32×32 cell (see
+//!   `run_telemetry_section`). `--metrics PATH` / `--trace PATH` export
+//!   the recorder run's metrics JSONL and packet trace (`.jsonl` suffix
+//!   for JSONL events, anything else for Chrome `trace_event` JSON — see
+//!   `docs/OBSERVABILITY.md`).
+//! - `snapshot` — checkpoint/restore splice parity, snapshot bytes/node,
+//!   save/restore µs and the warm-start sweep work multiple on the 16×16
+//!   rate grid (see `docs/SNAPSHOT_FORMAT.md`).
+//! - `fault` / `fault_sweep` — a faulty 16×16 parity cell (dead link +
+//!   degraded span + dead router, faults on the quadrant cuts) and
+//!   compact saturation-vs-fault-count curves on 16×16 and 32×32.
+//! - `burst` — p99.9 vs ON/OFF burstiness on the 16×16 uniform cell.
+//! - `tenant` — a hotspot victim beside a quiet and a loaded uniform
+//!   aggressor, with per-tenant latency lanes.
+//!
+//! The synthetic parity cells (closed loop, fault, burst, tenant) share
+//! one check, `SynthCell::assert_parity`: the seed engine unless
+//! `--fast`, then the quadrant-sharded engine, each equal to the
+//! active-set stats. The shard and lookahead speedup gates (> 1.0×) arm
+//! only when `host_threads > 1`; every record carries `host_threads` so
+//! single-core numbers read honestly. The `engine` field names the
 //! optimization round that produced the record (see the README's field
 //! map and `docs/ARCHITECTURE.md`). Wall-clock on shared hosts drifts
 //! between records, so compare *speedup ratios* (new vs seed engine,
@@ -64,261 +66,61 @@
 
 use hyppi_netsim::json::{Json, Obj};
 use hyppi_netsim::{
-    EngineProfile, FlightRecorder, NoopProbe, ProfileSink, ReferenceSimulator, RunOpts,
-    ShardedSimulator, SimConfig, SimStats, Simulator, SweepConfig, SweepRunner, TelemetryOpts,
-    Workload,
+    FlightRecorder, NoopProbe, ProfileSink, ReferenceSimulator, RunOpts, ShardedSimulator,
+    SimConfig, SimStats, Simulator, SweepConfig, SweepRunner, TelemetryOpts, TenantStats, Workload,
 };
 use hyppi_phys::{Gbps, LinkTechnology};
 use hyppi_topology::{
     express_mesh, mesh, ExpressSpec, FaultSpec, MeshSpec, NodeId, RoutingTable, ShardSpec, Topology,
 };
 use hyppi_traffic::{
-    BurstSpec, NpbKernel, NpbTraceSpec, ScaledNpbSpec, SyntheticPattern, TenantSpec,
-    TenantWorkload, Trace,
+    BurstSpec, NpbKernel, NpbTraceSpec, ScaledNpbSpec, SyntheticPattern, TenantMap, TenantSpec,
+    TenantWorkload, Trace, TrafficMatrix,
 };
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
+/// One NPB cell of the Fig. 6 grid.
 struct Cell {
     kernel: &'static str,
     span: u16,
-    latency_clks: f64,
-    p50: u64,
-    p99: u64,
-    packets: u64,
-    cycles: u64,
-    flit_hops: u64,
+    stats: SimStats,
     new_secs: f64,
     ref_secs: Option<f64>,
 }
 
 impl Cell {
     fn mflit_hops_per_sec(&self) -> f64 {
-        self.flit_hops as f64 / self.new_secs / 1e6
+        self.stats.total_flit_hops() as f64 / self.new_secs / 1e6
     }
 
     fn cycles_per_sec(&self) -> f64 {
-        self.cycles as f64 / self.new_secs
+        self.stats.cycles as f64 / self.new_secs
     }
 
     fn speedup(&self) -> Option<f64> {
         self.ref_secs.map(|r| r / self.new_secs)
     }
-}
 
-struct SweepRecord {
-    points: usize,
-    seeds: usize,
-    runs: u32,
-    /// Grid + saturation search wall time.
-    secs: f64,
-    /// Wall time of the grid portion only (the cycle totals below cover
-    /// just the grid, so cycles/s is grid-cycles over grid-seconds).
-    grid_secs: f64,
-    aggregate_cycles: u64,
-    saturation_load: f64,
-    saturated_in_range: bool,
-    zero_load_latency: f64,
-}
-
-impl SweepRecord {
-    fn runs_per_sec(&self) -> f64 {
-        f64::from(self.runs) / self.secs
+    fn json(&self) -> Json {
+        Obj::new()
+            .field("kernel", self.kernel)
+            .field("span", self.span)
+            .field("latency_clks", Json::fixed(self.stats.mean_latency(), 4))
+            .field("p50", self.stats.all.p50())
+            .field("p99", self.stats.all.p99())
+            .field("packets", self.stats.all.count)
+            .field("cycles", self.stats.cycles)
+            .field("flit_hops", self.stats.total_flit_hops())
+            .field("new_engine_secs", Json::fixed(self.new_secs, 4))
+            .field("seed_engine_secs", self.ref_secs.map(|v| Json::fixed(v, 4)))
+            .field("speedup", self.speedup().map(|v| Json::fixed(v, 4)))
+            .field(
+                "mflit_hops_per_sec",
+                Json::fixed(self.mflit_hops_per_sec(), 2),
+            )
+            .field("cycles_per_sec", Json::fixed(self.cycles_per_sec(), 0))
+            .build()
     }
-
-    fn cycles_per_sec(&self) -> f64 {
-        self.aggregate_cycles as f64 / self.grid_secs
-    }
-}
-
-/// Closed-loop quick cell: the 16×16 uniform load past the saturation
-/// knee with a credit-limited NIC window, parity-asserted across all
-/// three engines, with the accepted throughput recorded.
-struct ClosedLoopRecord {
-    rate: f64,
-    window: usize,
-    warmup: u64,
-    measure: u64,
-    /// In-window accepted throughput, flits/node/cycle — the plateau
-    /// value (≈0.247 on the paper mesh), not the offered rate.
-    accepted: f64,
-    /// Mean network latency (closed-loop clocks start at emission).
-    mean_latency: f64,
-    /// Worst NIC backlog across sources (where closed-loop overload goes).
-    peak_backlog: u32,
-    secs: f64,
-}
-
-/// Shard-scaling measurements on the 32×32 uniform cell.
-struct ShardRecord {
-    mesh: &'static str,
-    rate: f64,
-    warmup: u64,
-    measure: u64,
-    shards: usize,
-    /// Wall time of the P=1 engine on the cell.
-    single_secs: f64,
-    /// Wall time of the sharded engine, one worker per shard.
-    sharded_secs: f64,
-    /// Wall time of the sharded engine forced onto one thread (protocol
-    /// overhead isolated from parallel speedup).
-    sequential_secs: f64,
-    /// `available_parallelism()` of the machine that produced the record
-    /// — on a single-core host the speedup column cannot exceed ~1.
-    host_threads: usize,
-    packets: u64,
-    cycles: u64,
-}
-
-impl ShardRecord {
-    fn speedup(&self) -> f64 {
-        self.single_secs / self.sharded_secs
-    }
-
-    fn protocol_overhead(&self) -> f64 {
-        self.sequential_secs / self.single_secs
-    }
-}
-
-/// Flight-recorder overhead and engine self-profiling on the sharded
-/// 32×32 uniform cell (see `docs/OBSERVABILITY.md`).
-struct TelemetryRecord {
-    mesh: &'static str,
-    rate: f64,
-    warmup: u64,
-    measure: u64,
-    shards: usize,
-    /// Best-of-3 sharded-sequential wall time, plain entry point.
-    plain_secs: f64,
-    /// Best-of-3 via the probed entry point with [`NoopProbe`] — the
-    /// hooks compiled in but disabled, so the ratio is the honest
-    /// probes-off cost. Asserted ≤ 1.05×.
-    probes_off_secs: f64,
-    /// One run with the full recorder (metrics sampler + packet tracer)
-    /// attached — the probes-on cost, recorded but not asserted.
-    recorder_secs: f64,
-    /// Metrics samples the recorder run produced.
-    samples: usize,
-    /// Packet lifecycle events retained in the trace ring.
-    events: usize,
-    /// Events evicted from the ring (0 unless the run outgrew it).
-    dropped_events: u64,
-    /// Per-superstep-phase wall time of the threaded sharded run.
-    profile: EngineProfile,
-}
-
-impl TelemetryRecord {
-    fn overhead_multiple(&self) -> f64 {
-        self.probes_off_secs / self.plain_secs
-    }
-}
-
-/// Checkpoint/restore measurements: snapshot size and save/restore
-/// micro-costs on a mid-run 16×16 cell, a splice parity cell (pause +
-/// resume == uninterrupted, restored across engines), and the
-/// warm-start sweep speedup on the 16×16 rate grid.
-struct SnapshotRecord {
-    mesh: &'static str,
-    snapshot_bytes: usize,
-    bytes_per_node: f64,
-    /// Mean serialization cost of one full-state snapshot, µs.
-    save_us: f64,
-    /// Mean decode + engine-rebuild cost of one restore, µs.
-    restore_us: f64,
-    grid_rates: usize,
-    seeds: usize,
-    warmup: u64,
-    measure: u64,
-    /// Wall time of the rate grid with per-point warm-up re-runs.
-    cold_grid_secs: f64,
-    /// Wall time of the same grid warm-started from cached anchors
-    /// (anchor construction included).
-    warm_grid_secs: f64,
-    /// Simulated-cycle work ratio cold/warm — deterministic, unlike the
-    /// wall-clock ratio, which parallel scheduling can flatten on
-    /// many-core hosts (the grid fans out wider than the anchor phase).
-    work_multiple: f64,
-}
-
-impl SnapshotRecord {
-    fn wall_speedup(&self) -> f64 {
-        self.cold_grid_secs / self.warm_grid_secs
-    }
-}
-
-/// The fault parity cell: a faulty 16×16 uniform run (dead link +
-/// degraded span + dead router, faults on the quadrant cuts), parity
-/// asserted across all three engines.
-struct FaultRecord {
-    rate: f64,
-    warmup: u64,
-    measure: u64,
-    dead_links: usize,
-    degraded_spans: usize,
-    dead_routers: usize,
-    rerouted_hops: u64,
-    unreachable_pairs: u64,
-    mean_latency: f64,
-    secs: f64,
-}
-
-/// One point of the compact saturation-vs-fault-count record.
-struct FaultSatPoint {
-    mesh: &'static str,
-    fault_count: usize,
-    sample_seed: u64,
-    saturation_load: f64,
-    saturated_in_range: bool,
-    rerouted_hops: u64,
-    unreachable_pairs: u64,
-}
-
-/// One point of the p99.9-vs-burstiness record: the 16×16 uniform cell
-/// re-run with ON/OFF modulated injection at growing peak-to-mean ratio.
-struct BurstPoint {
-    burstiness: f64,
-    mean_latency: f64,
-    p99: u64,
-    p999: u64,
-    packets: u64,
-    secs: f64,
-}
-
-/// One per-tenant latency lane of the tenant record.
-struct TenantLane {
-    mean_latency: f64,
-    p99: u64,
-    p999: u64,
-    packets: u64,
-}
-
-impl TenantLane {
-    fn of(lane: &hyppi_netsim::TenantStats) -> TenantLane {
-        TenantLane {
-            mean_latency: if lane.latency.count == 0 {
-                0.0
-            } else {
-                lane.latency.sum as f64 / lane.latency.count as f64
-            },
-            p99: lane.latency.p99(),
-            p999: lane.latency.p999(),
-            packets: lane.latency.count,
-        }
-    }
-}
-
-/// The multi-tenant interference cell: a hotspot victim and a uniform
-/// aggressor on vertical half-tiles of the 16×16 mesh, run with a quiet
-/// and a loaded aggressor, parity-asserted across all three engines with
-/// the tenant map attached.
-struct TenantRecord {
-    mesh: &'static str,
-    victim_rate: f64,
-    aggressor_quiet: f64,
-    aggressor_loaded: f64,
-    victim_quiet: TenantLane,
-    victim_loaded: TenantLane,
-    aggressor: TenantLane,
-    secs: f64,
 }
 
 /// Cell filters parsed from `--cells KERNEL[:SPAN],...` or the positional
@@ -354,6 +156,81 @@ impl CellFilter {
     }
 }
 
+/// A synthetic parity cell: the mesh, routes, config and measurement
+/// window every engine runs (seed 11), plus the healthy baseline of a
+/// faulty mesh or the tenant map, attached to every engine alike.
+struct SynthCell<'a> {
+    topo: &'a Topology,
+    routes: &'a RoutingTable,
+    cfg: SimConfig,
+    warmup: u64,
+    measure: u64,
+    baseline: Option<(&'a Topology, &'a RoutingTable)>,
+    tenants: Option<&'a TenantMap>,
+}
+
+impl SynthCell<'_> {
+    const SEED: u64 = 11;
+
+    /// Runs `m` on the active-set engine; returns its stats and wall time.
+    fn run(&self, m: &TrafficMatrix, label: &str) -> (SimStats, f64) {
+        let t0 = Instant::now();
+        let mut sim = Simulator::new(self.topo, self.routes, self.cfg);
+        if let Some((topo, routes)) = self.baseline {
+            sim = sim.with_baseline(topo, routes);
+        }
+        if let Some(map) = self.tenants {
+            sim = sim.with_tenants(map);
+        }
+        let stats = sim
+            .run_synthetic(m, self.warmup, self.measure, Self::SEED)
+            .unwrap_or_else(|e| panic!("{label} active-set run: {e}"));
+        (stats, t0.elapsed().as_secs_f64())
+    }
+
+    /// Asserts the active-set `stats` of `m` bit for bit against the
+    /// frozen seed engine (skipped when `fast`) and the quadrant-sharded
+    /// engine. Returns the engines checked, for the summary line.
+    fn assert_parity(
+        &self,
+        m: &TrafficMatrix,
+        stats: &SimStats,
+        fast: bool,
+        label: &str,
+    ) -> &'static str {
+        if !fast {
+            let mut sim = ReferenceSimulator::new(self.topo, self.routes, self.cfg);
+            if let Some((topo, routes)) = self.baseline {
+                sim = sim.with_baseline(topo, routes);
+            }
+            if let Some(map) = self.tenants {
+                sim = sim.with_tenants(map);
+            }
+            let reference = sim
+                .run_synthetic(m, self.warmup, self.measure, Self::SEED)
+                .unwrap_or_else(|e| panic!("{label} reference run: {e}"));
+            assert_eq!(*stats, reference, "{label} engine parity violated");
+        }
+        let mut sim =
+            ShardedSimulator::new(self.topo, self.routes, self.cfg, ShardSpec::quadrants());
+        if let Some((topo, routes)) = self.baseline {
+            sim = sim.with_baseline(topo, routes);
+        }
+        if let Some(map) = self.tenants {
+            sim = sim.with_tenants(map);
+        }
+        let sharded = sim
+            .run_synthetic(m, self.warmup, self.measure, Self::SEED)
+            .unwrap_or_else(|e| panic!("{label} sharded run: {e}"));
+        assert_eq!(sharded, *stats, "{label} shard parity violated");
+        if fast {
+            "sharded"
+        } else {
+            "seed + sharded"
+        }
+    }
+}
+
 fn fig6_topology(span: u16) -> Topology {
     if span == 0 {
         mesh(MeshSpec::paper(LinkTechnology::Electronic))
@@ -368,32 +245,65 @@ fn fig6_topology(span: u16) -> Topology {
     }
 }
 
+/// A `side`×`side` mesh of `base_tech` links, 1 mm pitch, 50 Gb/s.
+fn square_mesh(side: u16, base_tech: LinkTechnology) -> Topology {
+    mesh(MeshSpec {
+        width: side,
+        height: side,
+        core_spacing_mm: 1.0,
+        base_tech,
+        capacity: Gbps::new(50.0),
+    })
+}
+
+fn host_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |p| p.get())
+}
+
+/// "0.283", or "> 0.800" when the search never saturated.
+fn saturation_text(load: f64, in_range: bool) -> String {
+    if in_range {
+        format!("{load:.3}")
+    } else {
+        format!("> {load:.3}")
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let fast = args.iter().any(|a| a == "--fast");
-    let quick = args.iter().any(|a| a == "--quick");
-    let cells_arg = args
-        .iter()
-        .position(|a| a == "--cells")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let shards: usize = args
-        .iter()
-        .position(|a| a == "--shards")
-        .and_then(|i| args.get(i + 1))
-        .map(|s| {
-            s.parse().unwrap_or_else(|_| {
-                eprintln!("bad --shards value '{s}'");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(4);
     let flag_value = |flag: &str| {
         args.iter()
             .position(|a| a == flag)
             .and_then(|i| args.get(i + 1))
             .cloned()
     };
+    let fast = args.iter().any(|a| a == "--fast");
+    let quick = args.iter().any(|a| a == "--quick");
+    // The lookahead curve is the heavyweight section (three mesh sizes,
+    // four shard counts each); --quick runs it only on request so the
+    // default CI smoke stays cheap, but `--quick --lookahead` still
+    // shrinks the per-cell workload.
+    let lookahead = !quick || args.iter().any(|a| a == "--lookahead");
+    // `--shards N` cuts the 32×32 cells, and the lookahead section
+    // profiles its 16×16 mesh at N too, so N's grid must fit the
+    // smallest of them (the 1..=1024 bound first keeps `for_count`'s u16
+    // tile counts from wrapping).
+    let side = if lookahead { 16 } else { 32 };
+    let shards: usize = flag_value("--shards").map_or(4, |s| {
+        let fits = |n: usize| {
+            let grid = ShardSpec::for_count(n);
+            grid.sx <= side && grid.sy <= side
+        };
+        match s.parse() {
+            Ok(n) if (1..=1024).contains(&n) && fits(n) => n,
+            _ => {
+                eprintln!(
+                    "bad --shards value '{s}' (need N >= 1 whose shard grid fits the {side}x{side} mesh)"
+                );
+                std::process::exit(2);
+            }
+        }
+    });
     let trace_cap: usize = flag_value("--trace-cap")
         .map(|s| {
             s.parse().unwrap_or_else(|_| {
@@ -407,7 +317,6 @@ fn main() {
         trace: flag_value("--trace"),
         trace_cap,
     };
-    let lookahead_requested = args.iter().any(|a| a == "--lookahead");
     const VALUE_FLAGS: [&str; 5] = ["--cells", "--shards", "--metrics", "--trace", "--trace-cap"];
     let positional: Option<String> = args
         .iter()
@@ -417,7 +326,7 @@ fn main() {
         })
         .map(|(_, a)| a.clone())
         .next();
-    let filter = if let Some(spec) = cells_arg {
+    let filter = if let Some(spec) = flag_value("--cells") {
         CellFilter::parse(&spec)
     } else if let Some(kernel) = positional {
         CellFilter::parse(&kernel)
@@ -430,6 +339,58 @@ fn main() {
         CellFilter(Vec::new())
     };
 
+    let (aggregate, cells) = run_npb_section(&filter, quick, fast);
+
+    // Machine-readable record for the perf trajectory, built on the
+    // shared `hyppi_netsim::json` writer. Each section runs as its field
+    // is appended, in record order.
+    let host_threads = host_threads();
+    let mut top = Obj::new()
+        .field(
+            "bench",
+            "netsim perfcheck (NPB Fig. 6 grid + load sweep, paper defaults)",
+        )
+        .field(
+            "engine",
+            "active-set + credit fusion, calendar batching, packed VC search, conservative-lookahead windows",
+        )
+        .field("host_threads", host_threads)
+        .field("measured_on_single_core", host_threads == 1);
+    if quick {
+        top = top.field("quick", true);
+    }
+    let json = top
+        .field("aggregate", aggregate)
+        .field("sweep", run_sweep_section(quick, fast))
+        .field("closed_loop", run_closed_loop_section(quick, fast))
+        .field("shard_scaling", run_shard_section(quick, shards))
+        .field(
+            "lookahead_scaling",
+            lookahead.then(|| run_lookahead_section(quick, shards)),
+        )
+        .field(
+            "telemetry",
+            run_telemetry_section(quick, shards, &telemetry),
+        )
+        .field("snapshot", run_snapshot_section(quick, fast))
+        .field("fault", run_fault_section(quick, fast))
+        .field("fault_sweep", run_fault_saturation_section(quick, shards))
+        .field("burst", run_burst_section(quick, fast))
+        .field("tenant", run_tenant_section(quick, fast))
+        .field("cells", cells)
+        .build()
+        .render();
+    match std::fs::write("BENCH_netsim.json", &json) {
+        Ok(()) => println!("wrote BENCH_netsim.json"),
+        Err(e) => eprintln!("could not write BENCH_netsim.json: {e}"),
+    }
+}
+
+/// The NPB Fig. 6 grid cells `filter` accepts, timed on the active-set
+/// engine and (unless `fast`) parity-asserted against the seed engine.
+/// Returns the `aggregate` and `cells` records; exits 1 when the filter
+/// matched nothing.
+fn run_npb_section(filter: &CellFilter, quick: bool, fast: bool) -> (Json, Json) {
     let mut cells: Vec<Cell> = Vec::new();
     for kernel in NpbKernel::ALL {
         if ![0u16, 3, 5, 15]
@@ -483,29 +444,25 @@ fn main() {
             let cell = Cell {
                 kernel: kernel.name(),
                 span,
-                latency_clks: stats.mean_latency(),
-                p50: stats.all.p50(),
-                p99: stats.all.p99(),
-                packets: stats.all.count,
-                cycles: stats.cycles,
-                flit_hops: stats.total_flit_hops(),
+                stats,
                 new_secs,
                 ref_secs,
             };
             let speedup = cell
                 .speedup()
                 .map_or(String::new(), |s| format!(" | {s:4.2}x vs seed"));
+            let stats = &cell.stats;
             println!(
                 "{kernel} span {span:2}: lat {:7.2} clks (p50 {:4} p99 {:5} max {:5}) | {:8} pkts | {:9} cycles | {:6.1} Mflit-hops/s | {:8.0} cyc/s | {:.2?}{speedup}",
                 stats.mean_latency(),
-                cell.p50,
-                cell.p99,
+                stats.all.p50(),
+                stats.all.p99(),
                 stats.all.max,
                 stats.all.count,
                 stats.cycles,
                 cell.mflit_hops_per_sec(),
                 cell.cycles_per_sec(),
-                std::time::Duration::from_secs_f64(cell.new_secs),
+                Duration::from_secs_f64(cell.new_secs),
             );
             cells.push(cell);
         }
@@ -530,330 +487,20 @@ fn main() {
     } else {
         println!("TOTAL: active-set {new_total:.2}s (baseline skipped)");
     }
-
-    let sweep = run_sweep_section(quick, fast);
-    let closed = run_closed_loop_section(quick, fast);
-    let shard = run_shard_section(quick, shards);
-    // The lookahead curve is the heavyweight section (three mesh sizes,
-    // four shard counts each); --quick runs it only on request so the
-    // default CI smoke stays cheap, but `--quick --lookahead` still
-    // shrinks the per-cell workload.
-    let lookahead = (!quick || lookahead_requested).then(|| run_lookahead_section(quick, shards));
-    let telem = run_telemetry_section(quick, shards, &telemetry);
-    let snapshot = run_snapshot_section(quick, fast);
-    let fault = run_fault_section(quick, fast);
-    let fault_sat = run_fault_saturation_section(quick, shards);
-    let burst = run_burst_section(quick, fast);
-    let tenant = run_tenant_section(quick, fast);
-
-    // Machine-readable record for the perf trajectory, built on the
-    // shared `hyppi_netsim::json` writer.
-    let host_threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let mut top = Obj::new()
-        .field(
-            "bench",
-            "netsim perfcheck (NPB Fig. 6 grid + load sweep, paper defaults)",
-        )
-        .field(
-            "engine",
-            "active-set + credit fusion, calendar batching, packed VC search, conservative-lookahead windows",
-        )
-        .field("host_threads", host_threads)
-        .field("measured_on_single_core", host_threads == 1);
-    if quick {
-        top = top.field("quick", true);
-    }
-    let json = top
-        .field(
-            "aggregate",
-            Obj::new()
-                .field("new_engine_secs", Json::fixed(new_total, 4))
-                .field("seed_engine_secs", ref_total.map(|v| Json::fixed(v, 4)))
-                .field("speedup", ref_total.map(|v| Json::fixed(v / new_total, 4))),
-        )
-        .field(
-            "sweep",
-            Obj::new()
-                .field("pattern", "uniform")
-                .field("mesh", "8x8")
-                .field("points", sweep.points)
-                .field("seeds", sweep.seeds)
-                .field("runs", sweep.runs)
-                .field("secs", Json::fixed(sweep.secs, 4))
-                .field("grid_secs", Json::fixed(sweep.grid_secs, 4))
-                .field("runs_per_sec", Json::fixed(sweep.runs_per_sec(), 2))
-                .field("aggregate_cycles", sweep.aggregate_cycles)
-                .field("cycles_per_sec", Json::fixed(sweep.cycles_per_sec(), 0))
-                .field(
-                    "saturation_load",
-                    sweep
-                        .saturated_in_range
-                        .then(|| Json::fixed(sweep.saturation_load, 4)),
-                )
-                .field("zero_load_latency", Json::fixed(sweep.zero_load_latency, 4)),
-        )
-        .field(
-            "closed_loop",
-            Obj::new()
-                .field("mesh", "16x16")
-                .field("pattern", "uniform")
-                .field("rate", Json::fixed(closed.rate, 3))
-                .field("window", closed.window)
-                .field("warmup", closed.warmup)
-                .field("measure", closed.measure)
-                .field("accepted_throughput", Json::fixed(closed.accepted, 4))
-                .field("mean_latency", Json::fixed(closed.mean_latency, 4))
-                .field("peak_backlog", closed.peak_backlog)
-                .field("secs", Json::fixed(closed.secs, 4)),
-        )
-        .field(
-            "shard_scaling",
-            Obj::new()
-                .field("mesh", shard.mesh)
-                .field("rate", Json::fixed(shard.rate, 3))
-                .field("warmup", shard.warmup)
-                .field("measure", shard.measure)
-                .field("shards", shard.shards)
-                .field("host_threads", shard.host_threads)
-                .field("packets", shard.packets)
-                .field("cycles", shard.cycles)
-                .field("single_shard_secs", Json::fixed(shard.single_secs, 4))
-                .field("sharded_secs", Json::fixed(shard.sharded_secs, 4))
-                .field(
-                    "sequential_sharded_secs",
-                    Json::fixed(shard.sequential_secs, 4),
-                )
-                .field("speedup", Json::fixed(shard.speedup(), 4))
-                .field(
-                    "protocol_overhead",
-                    Json::fixed(shard.protocol_overhead(), 4),
-                )
-                .field("measured_on_single_core", shard.host_threads == 1),
-        )
-        .field(
-            "lookahead_scaling",
-            lookahead.map(|records| {
-                records
-                    .iter()
-                    .map(|r| {
-                        Obj::new()
-                            .field("mesh", r.mesh)
-                            .field("kernel", r.kernel)
-                            .field("window", r.window)
-                            .field("packets", r.packets)
-                            .field("cycles", r.cycles)
-                            .field("host_threads", r.host_threads)
-                            .field("measured_on_single_core", r.host_threads == 1)
-                            .field(
-                                "barrier_fraction_per_cycle",
-                                Json::fixed(r.barrier_fraction_per_cycle, 4),
-                            )
-                            .field(
-                                "barrier_fraction_windowed",
-                                Json::fixed(r.barrier_fraction_windowed, 4),
-                            )
-                            .field("supersteps_per_cycle", r.supersteps_per_cycle)
-                            .field("supersteps_windowed", r.supersteps_windowed)
-                            .field(
-                                "curve",
-                                r.points
-                                    .iter()
-                                    .map(|p| {
-                                        Obj::new()
-                                            .field("shards", p.shards)
-                                            .field("secs", Json::fixed(p.secs, 4))
-                                            .field(
-                                                "speedup",
-                                                Json::fixed(r.single_secs / p.secs, 4),
-                                            )
-                                            .build()
-                                    })
-                                    .collect::<Vec<Json>>(),
-                            )
-                            .build()
-                    })
-                    .collect::<Vec<Json>>()
-            }),
-        )
-        .field(
-            "telemetry",
-            Obj::new()
-                .field("mesh", telem.mesh)
-                .field("pattern", "uniform")
-                .field("rate", Json::fixed(telem.rate, 3))
-                .field("warmup", telem.warmup)
-                .field("measure", telem.measure)
-                .field("shards", telem.shards)
-                .field("plain_secs", Json::fixed(telem.plain_secs, 4))
-                .field("probes_off_secs", Json::fixed(telem.probes_off_secs, 4))
-                .field(
-                    "probes_off_overhead_multiple",
-                    Json::fixed(telem.overhead_multiple(), 4),
-                )
-                .field("recorder_secs", Json::fixed(telem.recorder_secs, 4))
-                .field("metrics_samples", telem.samples)
-                .field("trace_events", telem.events)
-                .field("trace_events_dropped", telem.dropped_events)
-                .field(
-                    "profile",
-                    Obj::new()
-                        .field("step_ns", telem.profile.step_ns)
-                        .field("exchange_ns", telem.profile.exchange_ns)
-                        .field("barrier_ns", telem.profile.barrier_ns)
-                        .field(
-                            "step_fraction",
-                            Json::fixed(telem.profile.fraction(telem.profile.step_ns), 4),
-                        )
-                        .field(
-                            "exchange_fraction",
-                            Json::fixed(telem.profile.fraction(telem.profile.exchange_ns), 4),
-                        )
-                        .field(
-                            "barrier_fraction",
-                            Json::fixed(telem.profile.fraction(telem.profile.barrier_ns), 4),
-                        )
-                        .field("supersteps", telem.profile.supersteps)
-                        .field("workers", telem.profile.workers),
-                ),
-        )
-        .field(
-            "snapshot",
-            Obj::new()
-                .field("mesh", snapshot.mesh)
-                .field("pattern", "uniform")
-                .field("snapshot_bytes", snapshot.snapshot_bytes)
-                .field("bytes_per_node", Json::fixed(snapshot.bytes_per_node, 1))
-                .field("save_usecs", Json::fixed(snapshot.save_us, 1))
-                .field("restore_usecs", Json::fixed(snapshot.restore_us, 1))
-                .field("grid_rates", snapshot.grid_rates)
-                .field("seeds", snapshot.seeds)
-                .field("warmup", snapshot.warmup)
-                .field("measure", snapshot.measure)
-                .field("cold_grid_secs", Json::fixed(snapshot.cold_grid_secs, 4))
-                .field("warm_grid_secs", Json::fixed(snapshot.warm_grid_secs, 4))
-                .field("wall_speedup", Json::fixed(snapshot.wall_speedup(), 4))
-                .field(
-                    "warm_start_multiple",
-                    Json::fixed(snapshot.work_multiple, 4),
-                ),
-        )
-        .field(
-            "fault",
-            Obj::new()
-                .field("mesh", "16x16")
-                .field("pattern", "uniform")
-                .field("rate", Json::fixed(fault.rate, 3))
-                .field("warmup", fault.warmup)
-                .field("measure", fault.measure)
-                .field("dead_links", fault.dead_links)
-                .field("degraded_spans", fault.degraded_spans)
-                .field("dead_routers", fault.dead_routers)
-                .field("rerouted_hops", fault.rerouted_hops)
-                .field("unreachable_pairs", fault.unreachable_pairs)
-                .field("mean_latency", Json::fixed(fault.mean_latency, 4))
-                .field("secs", Json::fixed(fault.secs, 4)),
-        )
-        .field(
-            "fault_sweep",
-            fault_sat
-                .iter()
-                .map(|p| {
-                    Obj::new()
-                        .field("mesh", p.mesh)
-                        .field("fault_count", p.fault_count)
-                        .field("sample_seed", p.sample_seed)
-                        .field(
-                            "saturation_load",
-                            p.saturated_in_range
-                                .then(|| Json::fixed(p.saturation_load, 4)),
-                        )
-                        .field("rerouted_hops", p.rerouted_hops)
-                        .field("unreachable_pairs", p.unreachable_pairs)
-                        .build()
-                })
-                .collect::<Vec<Json>>(),
-        )
-        .field(
-            "burst",
-            Obj::new()
-                .field("mesh", "16x16")
-                .field("pattern", "uniform")
-                .field("modulator", "onoff")
-                .field("rate", Json::fixed(0.10, 3))
-                .field(
-                    "curve",
-                    burst
-                        .iter()
-                        .map(|p| {
-                            Obj::new()
-                                .field("burstiness", Json::fixed(p.burstiness, 1))
-                                .field("mean_latency", Json::fixed(p.mean_latency, 4))
-                                .field("p99", p.p99)
-                                .field("p999", p.p999)
-                                .field("packets", p.packets)
-                                .field("secs", Json::fixed(p.secs, 4))
-                                .build()
-                        })
-                        .collect::<Vec<Json>>(),
-                ),
-        )
-        .field(
-            "tenant",
-            Obj::new()
-                .field("mesh", tenant.mesh)
-                .field("grid", "2x1")
-                .field("victim_pattern", "hotspot")
-                .field("aggressor_pattern", "uniform")
-                .field("victim_rate", Json::fixed(tenant.victim_rate, 3))
-                .field("aggressor_quiet", Json::fixed(tenant.aggressor_quiet, 3))
-                .field("aggressor_loaded", Json::fixed(tenant.aggressor_loaded, 3))
-                .field("secs", Json::fixed(tenant.secs, 4))
-                .field("victim_quiet", tenant_lane_json(&tenant.victim_quiet))
-                .field("victim_loaded", tenant_lane_json(&tenant.victim_loaded))
-                .field("aggressor", tenant_lane_json(&tenant.aggressor)),
-        )
-        .field(
-            "cells",
-            cells
-                .iter()
-                .map(|c| {
-                    Obj::new()
-                        .field("kernel", c.kernel)
-                        .field("span", c.span)
-                        .field("latency_clks", Json::fixed(c.latency_clks, 4))
-                        .field("p50", c.p50)
-                        .field("p99", c.p99)
-                        .field("packets", c.packets)
-                        .field("cycles", c.cycles)
-                        .field("flit_hops", c.flit_hops)
-                        .field("new_engine_secs", Json::fixed(c.new_secs, 4))
-                        .field("seed_engine_secs", c.ref_secs.map(|v| Json::fixed(v, 4)))
-                        .field("speedup", c.speedup().map(|v| Json::fixed(v, 4)))
-                        .field("mflit_hops_per_sec", Json::fixed(c.mflit_hops_per_sec(), 2))
-                        .field("cycles_per_sec", Json::fixed(c.cycles_per_sec(), 0))
-                        .build()
-                })
-                .collect::<Vec<Json>>(),
-        )
-        .build()
-        .render();
-    match std::fs::write("BENCH_netsim.json", &json) {
-        Ok(()) => println!("wrote BENCH_netsim.json"),
-        Err(e) => eprintln!("could not write BENCH_netsim.json: {e}"),
-    }
+    let aggregate = Obj::new()
+        .field("new_engine_secs", Json::fixed(new_total, 4))
+        .field("seed_engine_secs", ref_total.map(|v| Json::fixed(v, 4)))
+        .field("speedup", ref_total.map(|v| Json::fixed(v / new_total, 4)))
+        .build();
+    let cells: Vec<Json> = cells.iter().map(Cell::json).collect();
+    (aggregate, cells.into())
 }
 
 /// Exercises the sweep subsystem on an 8×8 uniform load and, unless
 /// `fast`, asserts engine parity on a synthetic sweep point (the trace
 /// cells above only cover `run_trace`).
-fn run_sweep_section(quick: bool, fast: bool) -> SweepRecord {
-    let topo = mesh(MeshSpec {
-        width: 8,
-        height: 8,
-        core_spacing_mm: 1.0,
-        base_tech: LinkTechnology::Electronic,
-        capacity: Gbps::new(50.0),
-    });
+fn run_sweep_section(quick: bool, fast: bool) -> Json {
+    let topo = square_mesh(8, LinkTechnology::Electronic);
     let routes = RoutingTable::compute_xy(&topo);
     let cfg = if quick {
         SweepConfig::quick()
@@ -889,22 +536,16 @@ fn run_sweep_section(quick: bool, fast: bool) -> SweepRecord {
     };
     let t0 = Instant::now();
     let points = runner.run_grid(&gen, rates);
+    // The cycle total covers just the grid, so cycles/s is grid-cycles
+    // over grid-seconds; runs/s spans grid + saturation search.
     let grid_secs = t0.elapsed().as_secs_f64();
     let saturation = runner.find_saturation(&gen, 0.8);
     let secs = t0.elapsed().as_secs_f64();
 
-    let grid_runs = (points.len() * cfg.seeds.len()) as u32;
-    let record = SweepRecord {
-        points: points.len(),
-        seeds: cfg.seeds.len(),
-        runs: grid_runs + saturation.runs,
-        secs,
-        grid_secs,
-        aggregate_cycles: points.iter().map(|p| p.cycles).sum(),
-        saturation_load: saturation.saturation_load,
-        saturated_in_range: saturation.saturated_in_range,
-        zero_load_latency: saturation.zero_load_latency,
-    };
+    let runs = (points.len() * cfg.seeds.len()) as u32 + saturation.runs;
+    let runs_per_sec = f64::from(runs) / secs;
+    let aggregate_cycles: u64 = points.iter().map(|p| p.cycles).sum();
+    let cycles_per_sec = aggregate_cycles as f64 / grid_secs;
     for p in &points {
         println!(
             "sweep uniform 8x8 r={:.3}: lat {:6.2} clks (p50 {:3} p95 {:3} p99 {:3}) | accepted {:.3} | {}",
@@ -918,30 +559,44 @@ fn run_sweep_section(quick: bool, fast: bool) -> SweepRecord {
         );
     }
     println!(
-        "SWEEP: {} runs in {:.2}s -> {:.1} runs/s, {:.0} sim-cycles/s | saturation {} (zero-load {:.2} clks)",
-        record.runs,
-        record.secs,
-        record.runs_per_sec(),
-        record.cycles_per_sec(),
-        if record.saturated_in_range {
-            format!("{:.3}", record.saturation_load)
-        } else {
-            format!("> {:.3}", record.saturation_load)
-        },
-        record.zero_load_latency,
+        "SWEEP: {runs} runs in {secs:.2}s -> {runs_per_sec:.1} runs/s, {cycles_per_sec:.0} sim-cycles/s | saturation {} (zero-load {:.2} clks)",
+        saturation_text(saturation.saturation_load, saturation.saturated_in_range),
+        saturation.zero_load_latency,
     );
-    record
+    Obj::new()
+        .field("pattern", "uniform")
+        .field("mesh", "8x8")
+        .field("points", points.len())
+        .field("seeds", cfg.seeds.len())
+        .field("runs", runs)
+        .field("secs", Json::fixed(secs, 4))
+        .field("grid_secs", Json::fixed(grid_secs, 4))
+        .field("runs_per_sec", Json::fixed(runs_per_sec, 2))
+        .field("aggregate_cycles", aggregate_cycles)
+        .field("cycles_per_sec", Json::fixed(cycles_per_sec, 0))
+        .field(
+            "saturation_load",
+            saturation
+                .saturated_in_range
+                .then(|| Json::fixed(saturation.saturation_load, 4)),
+        )
+        .field(
+            "zero_load_latency",
+            Json::fixed(saturation.zero_load_latency, 4),
+        )
+        .build()
 }
 
 /// The closed-loop cell: 16×16 uniform at a rate past the ≈0.247
-/// saturation knee with a 32-packet NIC window, run on the active-set,
-/// frozen-seed and quadrant-sharded engines with bit-for-bit parity
-/// asserted across all three, so the credit-gated NIC model is pinned on
-/// every perfcheck (and every CI perf-smoke). Records the accepted
-/// throughput — the plateau value the closed-loop story hangs on.
-/// `--fast` skips the seed-engine run (like the other sections); the
-/// cheap sharded parity assert stays.
-fn run_closed_loop_section(quick: bool, fast: bool) -> ClosedLoopRecord {
+/// saturation knee with a 32-packet NIC window, parity-asserted on the
+/// seed (unless `fast`) and quadrant-sharded engines, so the
+/// credit-gated NIC model is pinned on every perfcheck (and every CI
+/// perf-smoke). Records the accepted throughput — the plateau value
+/// (≈0.247 on the paper mesh, not the offered rate) the closed-loop
+/// story hangs on — the mean network latency (closed-loop clocks start
+/// at emission) and the worst NIC backlog, where closed-loop overload
+/// goes.
+fn run_closed_loop_section(quick: bool, fast: bool) -> Json {
     let topo = mesh(MeshSpec::paper(LinkTechnology::Electronic));
     let routes = RoutingTable::compute_xy(&topo);
     let window = 32usize;
@@ -953,58 +608,48 @@ fn run_closed_loop_section(quick: bool, fast: bool) -> ClosedLoopRecord {
     let mut cfg = SimConfig::paper_closed_loop(window);
     cfg.max_cycles = 2_000_000;
     let m = SyntheticPattern::Uniform.matrix(&topo, rate);
-
-    let t0 = Instant::now();
-    let stats = Simulator::new(&topo, &routes, cfg)
-        .run_synthetic(&m, warmup, measure, 11)
-        .expect("closed-loop active-set run completes");
-    let secs = t0.elapsed().as_secs_f64();
-    if !fast {
-        let reference = ReferenceSimulator::new(&topo, &routes, cfg)
-            .run_synthetic(&m, warmup, measure, 11)
-            .expect("closed-loop reference run completes");
-        assert_eq!(stats, reference, "closed-loop engine parity violated");
-    }
-    let sharded = ShardedSimulator::new(&topo, &routes, cfg, ShardSpec::quadrants())
-        .run_synthetic(&m, warmup, measure, 11)
-        .expect("closed-loop sharded run completes");
-    assert_eq!(sharded, stats, "closed-loop shard parity violated");
-
-    let record = ClosedLoopRecord {
-        rate,
-        window,
+    let cell = SynthCell {
+        topo: &topo,
+        routes: &routes,
+        cfg,
         warmup,
         measure,
-        accepted: stats.accepted_throughput(topo.num_nodes(), measure),
-        mean_latency: stats.mean_latency(),
-        peak_backlog: stats.peak_backlog.iter().max().copied().unwrap_or(0),
-        secs,
+        baseline: None,
+        tenants: None,
     };
+    let (stats, secs) = cell.run(&m, "closed-loop");
+    let checked = cell.assert_parity(&m, &stats, fast, "closed-loop");
+
+    let accepted = stats.accepted_throughput(topo.num_nodes(), measure);
+    let peak_backlog = stats.peak_backlog.iter().max().copied().unwrap_or(0);
     println!(
-        "CLOSED-LOOP 16x16 uniform r={rate:.2} window={window}: accepted {:.3} flits/node/clk | lat {:.1} clks | peak backlog {} | {:.2?} | parity OK ({})",
-        record.accepted,
-        record.mean_latency,
-        record.peak_backlog,
-        std::time::Duration::from_secs_f64(record.secs),
-        if fast { "sharded" } else { "seed + sharded" },
+        "CLOSED-LOOP 16x16 uniform r={rate:.2} window={window}: accepted {accepted:.3} flits/node/clk | lat {:.1} clks | peak backlog {peak_backlog} | {:.2?} | parity OK ({checked})",
+        stats.mean_latency(),
+        Duration::from_secs_f64(secs),
     );
-    record
+    Obj::new()
+        .field("mesh", "16x16")
+        .field("pattern", "uniform")
+        .field("rate", Json::fixed(rate, 3))
+        .field("window", window)
+        .field("warmup", warmup)
+        .field("measure", measure)
+        .field("accepted_throughput", Json::fixed(accepted, 4))
+        .field("mean_latency", Json::fixed(stats.mean_latency(), 4))
+        .field("peak_backlog", peak_backlog)
+        .field("secs", Json::fixed(secs, 4))
+        .build()
 }
 
 /// Times the 32×32 uniform cell on the P=1 engine, the sharded engine
-/// (one worker per shard), and the sharded engine forced sequential —
-/// asserting bit-for-bit parity between all three. The recorded
-/// `host_threads` is the machine's `available_parallelism()`: on a
-/// single-core host the speedup column is physically bounded near 1 and
-/// must be read together with it.
-fn run_shard_section(quick: bool, shards: usize) -> ShardRecord {
-    let topo = mesh(MeshSpec {
-        width: 32,
-        height: 32,
-        core_spacing_mm: 1.0,
-        base_tech: LinkTechnology::Electronic,
-        capacity: Gbps::new(50.0),
-    });
+/// (one worker per shard), and the sharded engine forced sequential
+/// (protocol overhead isolated from parallel speedup) — asserting
+/// bit-for-bit parity between all three. The recorded `host_threads` is
+/// the machine's `available_parallelism()`: on a single-core host the
+/// speedup column is physically bounded near 1 and must be read
+/// together with it.
+fn run_shard_section(quick: bool, shards: usize) -> Json {
+    let topo = square_mesh(32, LinkTechnology::Electronic);
     let routes = RoutingTable::compute_xy(&topo);
     let cfg = SimConfig::paper();
     let (rate, warmup, measure) = if quick {
@@ -1037,26 +682,13 @@ fn run_shard_section(quick: bool, shards: usize) -> ShardRecord {
         "32x32 shard parity violated (sequential)"
     );
 
-    let host_threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let record = ShardRecord {
-        mesh: "32x32",
-        rate,
-        warmup,
-        measure,
-        shards,
-        single_secs,
-        sharded_secs,
-        sequential_secs,
-        host_threads,
-        packets: single.all.count,
-        cycles: single.cycles,
-    };
+    let host_threads = host_threads();
+    let speedup = single_secs / sharded_secs;
+    let protocol_overhead = sequential_secs / single_secs;
     println!(
-        "SHARD 32x32 uniform r={rate:.2}: P=1 {single_secs:.2}s | {shards} shards {sharded_secs:.2}s ({:.2}x, host_threads={host_threads}) | sequential {sequential_secs:.2}s (protocol {:.2}x) | {} pkts, {} cycles | parity OK",
-        record.speedup(),
-        record.protocol_overhead(),
-        record.packets,
-        record.cycles,
+        "SHARD 32x32 uniform r={rate:.2}: P=1 {single_secs:.2}s | {shards} shards {sharded_secs:.2}s ({speedup:.2}x, host_threads={host_threads}) | sequential {sequential_secs:.2}s (protocol {protocol_overhead:.2}x) | {} pkts, {} cycles | parity OK",
+        single.all.count,
+        single.cycles,
     );
     // A speedup below 1 on a single-core host is physics, not a
     // regression — only a multi-core host can fail this gate. The JSON
@@ -1064,66 +696,50 @@ fn run_shard_section(quick: bool, shards: usize) -> ShardRecord {
     // honestly either way.
     if host_threads > 1 {
         assert!(
-            record.speedup() > 1.0,
-            "sharded engine slower than P=1 ({:.2}x) on a {host_threads}-thread host",
-            record.speedup()
+            speedup > 1.0,
+            "sharded engine slower than P=1 ({speedup:.2}x) on a {host_threads}-thread host"
         );
     } else {
         println!("SHARD: single-core host, speedup column not asserted");
     }
-    record
-}
-
-/// One shard count of a conservative-lookahead scaling curve.
-struct LookaheadPoint {
-    shards: usize,
-    /// Wall time of the windowed sharded engine, one worker per shard
-    /// (the P=1 point is the plain engine and defines speedup = 1).
-    secs: f64,
-}
-
-/// The conservative-lookahead scaling record for one mesh size: an NPB
-/// trace on an all-HyPPI mesh (every link 2 cycles, so every cut
-/// windows at W=2) timed at 1/2/4/8 shards, with the barrier share of
-/// superstep wall time profiled per-cycle vs windowed.
-struct LookaheadRecord {
-    mesh: &'static str,
-    kernel: &'static str,
-    /// The derived exchange window (min boundary-link latency over the
-    /// cuts) — 2 on these meshes by construction.
-    window: u64,
-    packets: u64,
-    cycles: u64,
-    /// Wall time of the P=1 engine (the shards=1 curve point).
-    single_secs: f64,
-    points: Vec<LookaheadPoint>,
-    host_threads: usize,
-    /// Barrier share of superstep wall time with the window forced to 1
-    /// (the pre-lookahead protocol: two barriers every simulated cycle).
-    barrier_fraction_per_cycle: f64,
-    /// Barrier share with the derived W=2 window.
-    barrier_fraction_windowed: f64,
-    supersteps_per_cycle: u64,
-    supersteps_windowed: u64,
+    Obj::new()
+        .field("mesh", "32x32")
+        .field("rate", Json::fixed(rate, 3))
+        .field("warmup", warmup)
+        .field("measure", measure)
+        .field("shards", shards)
+        .field("host_threads", host_threads)
+        .field("packets", single.all.count)
+        .field("cycles", single.cycles)
+        .field("single_shard_secs", Json::fixed(single_secs, 4))
+        .field("sharded_secs", Json::fixed(sharded_secs, 4))
+        .field("sequential_sharded_secs", Json::fixed(sequential_secs, 4))
+        .field("speedup", Json::fixed(speedup, 4))
+        .field("protocol_overhead", Json::fixed(protocol_overhead, 4))
+        .field("measured_on_single_core", host_threads == 1)
+        .build()
 }
 
 /// The ROADMAP's headline artifact: a 1/2/4/8-shard scaling curve per
 /// mesh size (16×16, 32×32, 64×64 via [`ScaledNpbSpec`]) on all-HyPPI
 /// meshes whose 2-cycle links let every cut run W=2 conservative
-/// windows. Every cell is parity-asserted bit-for-bit against the P=1
-/// engine (the same contract the unified cell harness pins in
-/// `tests/lookahead_parity.rs`), and the per-cycle vs windowed barrier
-/// fraction is profiled from the same `ProfileSink` the telemetry
-/// section uses. On a single-core host the speedup column is bounded
-/// near 1 — the record carries `host_threads` /
-/// `measured_on_single_core`, and the >1 gate only arms on multi-core.
-fn run_lookahead_section(quick: bool, shards: usize) -> Vec<LookaheadRecord> {
+/// windows (`window` is the derived min boundary-link latency). Every
+/// cell is parity-asserted bit-for-bit against the P=1 engine (the same
+/// contract the unified cell harness pins in
+/// `tests/lookahead_parity.rs`), and the barrier share of superstep
+/// wall time is profiled with the window forced to 1 (the pre-lookahead
+/// protocol: two barriers every simulated cycle) vs the derived W=2,
+/// from the same `ProfileSink` the telemetry section uses. On a
+/// single-core host the speedup column is bounded near 1 — the record
+/// carries `host_threads` / `measured_on_single_core`, and the >1 gate
+/// only arms on multi-core.
+fn run_lookahead_section(quick: bool, shards: usize) -> Json {
     let kernel = NpbKernel::Cg;
     // Decimation strides keep the trace volume roughly constant per
     // mesh as the instance count grows with area.
     let meshes: &[(u16, &'static str, u16)] =
         &[(16, "16x16", 1), (32, "32x32", 2), (64, "64x64", 4)];
-    let host_threads = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let host_threads = host_threads();
     let mut records = Vec::new();
     for &(side, label, stride) in meshes {
         let spec = ScaledNpbSpec::new(kernel, side, side);
@@ -1132,13 +748,7 @@ fn run_lookahead_section(quick: bool, shards: usize) -> Vec<LookaheadRecord> {
         } else {
             spec.trace_window_decimated(1, 0.25, stride)
         };
-        let topo = mesh(MeshSpec {
-            width: side,
-            height: side,
-            core_spacing_mm: 1.0,
-            base_tech: LinkTechnology::Hyppi,
-            capacity: Gbps::new(50.0),
-        });
+        let topo = square_mesh(side, LinkTechnology::Hyppi);
         let routes = RoutingTable::compute_xy(&topo);
         let mut cfg = SimConfig::paper();
         cfg.max_cycles = 20_000_000;
@@ -1149,11 +759,10 @@ fn run_lookahead_section(quick: bool, shards: usize) -> Vec<LookaheadRecord> {
             .expect("P=1 engine completes");
         let single_secs = t0.elapsed().as_secs_f64();
 
+        // The P=1 point is the plain engine and defines speedup = 1;
+        // the others run one worker per shard.
         let mut window = 0;
-        let mut points = vec![LookaheadPoint {
-            shards: 1,
-            secs: single_secs,
-        }];
+        let mut curve = vec![(1usize, single_secs)];
         for p in [2usize, 4, 8] {
             let sim = ShardedSimulator::new(&topo, &routes, cfg, ShardSpec::for_count(p));
             let w = sim.lookahead();
@@ -1171,7 +780,7 @@ fn run_lookahead_section(quick: bool, shards: usize) -> Vec<LookaheadRecord> {
                 kernel.name(),
                 single_secs / secs,
             );
-            points.push(LookaheadPoint { shards: p, secs });
+            curve.push((p, secs));
         }
 
         // Barrier share per-cycle vs windowed, profiled at the CLI's
@@ -1203,35 +812,22 @@ fn run_lookahead_section(quick: bool, shards: usize) -> Vec<LookaheadRecord> {
             per_cycle.supersteps,
         );
 
-        let record = LookaheadRecord {
-            mesh: label,
-            kernel: kernel.name(),
-            window,
-            packets: single.all.count,
-            cycles: single.cycles,
-            single_secs,
-            points,
-            host_threads,
-            barrier_fraction_per_cycle: per_cycle.fraction(per_cycle.barrier_ns),
-            barrier_fraction_windowed: windowed.fraction(windowed.barrier_ns),
-            supersteps_per_cycle: per_cycle.supersteps,
-            supersteps_windowed: windowed.supersteps,
-        };
+        let barrier_per_cycle = per_cycle.fraction(per_cycle.barrier_ns);
+        let barrier_windowed = windowed.fraction(windowed.barrier_ns);
         println!(
             "LOOKAHEAD {label}: barrier share {:.1}% per-cycle -> {:.1}% windowed ({} -> {} supersteps) | {} pkts, {} cycles",
-            100.0 * record.barrier_fraction_per_cycle,
-            100.0 * record.barrier_fraction_windowed,
-            record.supersteps_per_cycle,
-            record.supersteps_windowed,
-            record.packets,
-            record.cycles,
+            100.0 * barrier_per_cycle,
+            100.0 * barrier_windowed,
+            per_cycle.supersteps,
+            windowed.supersteps,
+            single.all.count,
+            single.cycles,
         );
         if host_threads > 1 {
-            let best = record
-                .points
+            let best = curve
                 .iter()
-                .filter(|p| p.shards > 1)
-                .map(|p| single_secs / p.secs)
+                .filter(|&&(p, _)| p > 1)
+                .map(|&(_, secs)| single_secs / secs)
                 .fold(0.0f64, f64::max);
             assert!(
                 best > 1.0,
@@ -1240,33 +836,62 @@ fn run_lookahead_section(quick: bool, shards: usize) -> Vec<LookaheadRecord> {
         } else {
             println!("LOOKAHEAD: single-core host, speedup column not asserted");
         }
-        records.push(record);
+        let curve: Vec<Json> = curve
+            .iter()
+            .map(|&(p, secs)| {
+                Obj::new()
+                    .field("shards", p)
+                    .field("secs", Json::fixed(secs, 4))
+                    .field("speedup", Json::fixed(single_secs / secs, 4))
+                    .build()
+            })
+            .collect();
+        records.push(
+            Obj::new()
+                .field("mesh", label)
+                .field("kernel", kernel.name())
+                .field("window", window)
+                .field("packets", single.all.count)
+                .field("cycles", single.cycles)
+                .field("host_threads", host_threads)
+                .field("measured_on_single_core", host_threads == 1)
+                .field(
+                    "barrier_fraction_per_cycle",
+                    Json::fixed(barrier_per_cycle, 4),
+                )
+                .field(
+                    "barrier_fraction_windowed",
+                    Json::fixed(barrier_windowed, 4),
+                )
+                .field("supersteps_per_cycle", per_cycle.supersteps)
+                .field("supersteps_windowed", windowed.supersteps)
+                .field("curve", curve)
+                .build(),
+        );
     }
-    records
+    records.into()
 }
 
 /// The telemetry section, on the same 32×32 uniform cell as the shard
-/// section. Three measurements:
+/// section (sequential sharded engine). Three measurements:
 ///
-/// 1. **Probes-off overhead** — interleaved best-of-3 of the plain entry
-///    point vs the probed entry point with [`NoopProbe`]. Both
-///    monomorphize to hook-free code, so the asserted ≤1.05× multiple is
-///    the honest cost of carrying the probe plumbing.
+/// 1. **Probes-off gate** — interleaved best-of-3 of the plain entry
+///    point (`run_synthetic`) vs the probed entry point with
+///    [`NoopProbe`] (`run_synthetic_probed`). The plain entry point *is*
+///    the `NoopProbe` instantiation of the probed one, so both time the
+///    same code: the asserted ≤ 1.05× multiple guards that the plain
+///    entry point stays that instantiation (a second, hooked code path
+///    would show here); it does not compare two code paths.
 /// 2. **Engine self-profiling** — `run_synthetic_profiled` on the
 ///    threaded sharded run, splitting superstep wall time into step,
 ///    exchange and barrier phases.
 /// 3. **Recorder run** — one single-worker run with the full
-///    [`FlightRecorder`] (metrics sampler + packet tracer) attached;
-///    parity with the plain run is asserted, and `--metrics PATH` /
-///    `--trace PATH` export its recordings.
-fn run_telemetry_section(quick: bool, shards: usize, opts: &TelemetryOpts) -> TelemetryRecord {
-    let topo = mesh(MeshSpec {
-        width: 32,
-        height: 32,
-        core_spacing_mm: 1.0,
-        base_tech: LinkTechnology::Electronic,
-        capacity: Gbps::new(50.0),
-    });
+///    [`FlightRecorder`] (metrics sampler + packet tracer) attached —
+///    the probes-on cost, recorded but not asserted; parity with the
+///    plain run is asserted, and `--metrics PATH` / `--trace PATH`
+///    export its recordings.
+fn run_telemetry_section(quick: bool, shards: usize, opts: &TelemetryOpts) -> Json {
+    let topo = square_mesh(32, LinkTechnology::Electronic);
     let routes = RoutingTable::compute_xy(&topo);
     let cfg = SimConfig::paper();
     let (rate, warmup, measure) = if quick {
@@ -1334,49 +959,64 @@ fn run_telemetry_section(quick: bool, shards: usize, opts: &TelemetryOpts) -> Te
         }
     }
 
-    let record = TelemetryRecord {
-        mesh: "32x32",
-        rate,
-        warmup,
-        measure,
-        shards,
-        plain_secs,
-        probes_off_secs,
-        recorder_secs,
-        samples: rec.sampler.as_ref().map_or(0, |s| s.samples().len()),
-        events: rec.tracer.as_ref().map_or(0, |t| t.events().count()),
-        dropped_events: rec.tracer.as_ref().map_or(0, |t| t.dropped()),
-        profile,
-    };
-    if record.dropped_events > 0 && opts.trace.is_none() {
+    let samples = rec.sampler.as_ref().map_or(0, |s| s.samples().len());
+    let events = rec.tracer.as_ref().map_or(0, |t| t.events().count());
+    let dropped_events = rec.tracer.as_ref().map_or(0, |t| t.dropped());
+    if dropped_events > 0 && opts.trace.is_none() {
         // The export path (`TelemetryOpts::write`) warns for itself.
         eprintln!(
-            "WARNING: packet trace ring overflowed: {} events dropped, {} kept. \
+            "WARNING: packet trace ring overflowed: {dropped_events} events dropped, {events} kept. \
              Raise the ring with --trace-cap N.",
-            record.dropped_events, record.events,
         );
     }
+    let overhead_multiple = probes_off_secs / plain_secs;
     assert!(
-        record.overhead_multiple() <= 1.05,
-        "probes-off overhead {:.3}x exceeds the 1.05x budget",
-        record.overhead_multiple()
+        overhead_multiple <= 1.05,
+        "probes-off overhead {overhead_multiple:.3}x exceeds the 1.05x budget"
     );
-    assert!(record.samples > 0, "recorder run produced no samples");
-    assert!(record.events > 0, "recorder run produced no events");
+    assert!(samples > 0, "recorder run produced no samples");
+    assert!(events > 0, "recorder run produced no events");
+    let step_fraction = profile.fraction(profile.step_ns);
+    let exchange_fraction = profile.fraction(profile.exchange_ns);
+    let barrier_fraction = profile.fraction(profile.barrier_ns);
     println!(
-        "TELEMETRY {} uniform r={rate:.2}: probes-off {:.3}x (plain {plain_secs:.2}s, hooks {probes_off_secs:.2}s) | recorder {recorder_secs:.2}s ({} samples, {} events, {} dropped) | profile step {:.0}% exchange {:.0}% barrier {:.0}% over {} supersteps x {} workers | parity OK",
-        record.mesh,
-        record.overhead_multiple(),
-        record.samples,
-        record.events,
-        record.dropped_events,
-        100.0 * profile.fraction(profile.step_ns),
-        100.0 * profile.fraction(profile.exchange_ns),
-        100.0 * profile.fraction(profile.barrier_ns),
+        "TELEMETRY 32x32 uniform r={rate:.2}: probes-off {overhead_multiple:.3}x (plain {plain_secs:.2}s, hooks {probes_off_secs:.2}s) | recorder {recorder_secs:.2}s ({samples} samples, {events} events, {dropped_events} dropped) | profile step {:.0}% exchange {:.0}% barrier {:.0}% over {} supersteps x {} workers | parity OK",
+        100.0 * step_fraction,
+        100.0 * exchange_fraction,
+        100.0 * barrier_fraction,
         profile.supersteps,
         profile.workers,
     );
-    record
+    Obj::new()
+        .field("mesh", "32x32")
+        .field("pattern", "uniform")
+        .field("rate", Json::fixed(rate, 3))
+        .field("warmup", warmup)
+        .field("measure", measure)
+        .field("shards", shards)
+        .field("plain_secs", Json::fixed(plain_secs, 4))
+        .field("probes_off_secs", Json::fixed(probes_off_secs, 4))
+        .field(
+            "probes_off_overhead_multiple",
+            Json::fixed(overhead_multiple, 4),
+        )
+        .field("recorder_secs", Json::fixed(recorder_secs, 4))
+        .field("metrics_samples", samples)
+        .field("trace_events", events)
+        .field("trace_events_dropped", dropped_events)
+        .field(
+            "profile",
+            Obj::new()
+                .field("step_ns", profile.step_ns)
+                .field("exchange_ns", profile.exchange_ns)
+                .field("barrier_ns", profile.barrier_ns)
+                .field("step_fraction", Json::fixed(step_fraction, 4))
+                .field("exchange_fraction", Json::fixed(exchange_fraction, 4))
+                .field("barrier_fraction", Json::fixed(barrier_fraction, 4))
+                .field("supersteps", profile.supersteps)
+                .field("workers", profile.workers),
+        )
+        .build()
 }
 
 /// The checkpoint/restore section. Three measurements on the paper's
@@ -1392,11 +1032,12 @@ fn run_telemetry_section(quick: bool, shards: usize, opts: &TelemetryOpts) -> Te
 ///    per node.
 /// 3. **Warm-start sweep speedup** — the 16×16 uniform rate grid run
 ///    cold (per-point warm-up re-runs) vs warm-started from cached
-///    anchors. Wall seconds are recorded for the human; the asserted
-///    `warm_start_multiple` is the *simulated-cycle* work ratio, which
-///    is deterministic — the wall ratio flattens on many-core hosts
-///    because the grid fans out wider than the anchor phase.
-fn run_snapshot_section(quick: bool, fast: bool) -> SnapshotRecord {
+///    anchors (anchor construction included). Wall seconds are recorded
+///    for the human; the asserted `warm_start_multiple` is the
+///    *simulated-cycle* work ratio, which is deterministic — the wall
+///    ratio flattens on many-core hosts because the grid fans out wider
+///    than the anchor phase.
+fn run_snapshot_section(quick: bool, fast: bool) -> Json {
     let topo = mesh(MeshSpec::paper(LinkTechnology::Electronic));
     let routes = RoutingTable::compute_xy(&topo);
     let cfg = SimConfig::paper();
@@ -1504,43 +1145,44 @@ fn run_snapshot_section(quick: bool, fast: bool) -> SnapshotRecord {
         "warm-start work multiple {work_multiple:.2} below the 1.2x floor"
     );
 
-    let record = SnapshotRecord {
-        mesh: "16x16",
-        snapshot_bytes: snap.size_bytes(),
-        bytes_per_node: snap.size_bytes() as f64 / f64::from(snap.num_nodes()),
-        save_us,
-        restore_us,
-        grid_rates: rates.len(),
-        seeds: seeds.len(),
-        warmup,
-        measure,
-        cold_grid_secs,
-        warm_grid_secs,
-        work_multiple,
-    };
+    let snapshot_bytes = snap.size_bytes();
+    let bytes_per_node = snapshot_bytes as f64 / f64::from(snap.num_nodes());
+    let wall_speedup = cold_grid_secs / warm_grid_secs;
     println!(
-        "SNAPSHOT 16x16 uniform: {} B ({:.0} B/node) | save {save_us:.0} us, restore {restore_us:.0} us | grid {} rates x {} seeds: cold {cold_grid_secs:.2}s vs warm {warm_grid_secs:.2}s (wall {:.2}x, work {work_multiple:.2}x) | splice parity OK ({})",
-        record.snapshot_bytes,
-        record.bytes_per_node,
-        record.grid_rates,
-        record.seeds,
-        record.wall_speedup(),
+        "SNAPSHOT 16x16 uniform: {snapshot_bytes} B ({bytes_per_node:.0} B/node) | save {save_us:.0} us, restore {restore_us:.0} us | grid {} rates x {} seeds: cold {cold_grid_secs:.2}s vs warm {warm_grid_secs:.2}s (wall {wall_speedup:.2}x, work {work_multiple:.2}x) | splice parity OK ({})",
+        rates.len(),
+        seeds.len(),
         if fast {
             "active-set + sharded"
         } else {
             "all three engines"
         },
     );
-    record
+    Obj::new()
+        .field("mesh", "16x16")
+        .field("pattern", "uniform")
+        .field("snapshot_bytes", snapshot_bytes)
+        .field("bytes_per_node", Json::fixed(bytes_per_node, 1))
+        .field("save_usecs", Json::fixed(save_us, 1))
+        .field("restore_usecs", Json::fixed(restore_us, 1))
+        .field("grid_rates", rates.len())
+        .field("seeds", seeds.len())
+        .field("warmup", warmup)
+        .field("measure", measure)
+        .field("cold_grid_secs", Json::fixed(cold_grid_secs, 4))
+        .field("warm_grid_secs", Json::fixed(warm_grid_secs, 4))
+        .field("wall_speedup", Json::fixed(wall_speedup, 4))
+        .field("warm_start_multiple", Json::fixed(work_multiple, 4))
+        .build()
 }
 
 /// The faulty-mesh parity cell: 16×16 uniform with a dead link and a
 /// degraded span on the quadrant cuts plus a dead router, routed with the
-/// fault-avoiding up*/down* table and run on all three engines with
-/// bit-for-bit parity asserted (`--fast` skips the seed engine; the cheap
-/// sharded assert stays). The healthy mesh is installed as the rerouting
-/// baseline, so the record pins the resilience counters too.
-fn run_fault_section(quick: bool, fast: bool) -> FaultRecord {
+/// fault-avoiding up*/down* table and parity-asserted on the seed
+/// (unless `fast`) and quadrant-sharded engines. The healthy mesh is
+/// installed as the rerouting baseline, so the record pins the
+/// resilience counters too.
+fn run_fault_section(quick: bool, fast: bool) -> Json {
     let healthy = mesh(MeshSpec::paper(LinkTechnology::Electronic));
     let healthy_routes = RoutingTable::compute_xy(&healthy);
     let spec = FaultSpec::none()
@@ -1561,52 +1203,44 @@ fn run_fault_section(quick: bool, fast: bool) -> FaultRecord {
     let mut cfg = SimConfig::paper();
     cfg.max_cycles = 2_000_000;
     let m = SyntheticPattern::Uniform.matrix(&topo, rate);
-
-    let t0 = Instant::now();
-    let stats = Simulator::new(&topo, &routes, cfg)
-        .with_baseline(&healthy, &healthy_routes)
-        .run_synthetic(&m, warmup, measure, 11)
-        .expect("faulty active-set run completes");
-    let secs = t0.elapsed().as_secs_f64();
-    if !fast {
-        let reference = ReferenceSimulator::new(&topo, &routes, cfg)
-            .with_baseline(&healthy, &healthy_routes)
-            .run_synthetic(&m, warmup, measure, 11)
-            .expect("faulty reference run completes");
-        assert_eq!(stats, reference, "fault cell engine parity violated");
-    }
-    let sharded = ShardedSimulator::new(&topo, &routes, cfg, ShardSpec::quadrants())
-        .with_baseline(&healthy, &healthy_routes)
-        .run_synthetic(&m, warmup, measure, 11)
-        .expect("faulty sharded run completes");
-    assert_eq!(sharded, stats, "fault cell shard parity violated");
+    let cell = SynthCell {
+        topo: &topo,
+        routes: &routes,
+        cfg,
+        warmup,
+        measure,
+        baseline: Some((&healthy, &healthy_routes)),
+        tenants: None,
+    };
+    let (stats, secs) = cell.run(&m, "fault cell");
+    let checked = cell.assert_parity(&m, &stats, fast, "fault cell");
     assert!(stats.rerouted_hops > 0, "dead span must force detours");
     assert!(
         stats.unreachable_pairs > 0,
         "dead router must drop its pairs"
     );
 
-    let record = FaultRecord {
-        rate,
-        warmup,
-        measure,
-        dead_links,
-        degraded_spans,
-        dead_routers,
-        rerouted_hops: stats.rerouted_hops,
-        unreachable_pairs: stats.unreachable_pairs,
-        mean_latency: stats.mean_latency(),
-        secs,
-    };
     println!(
-        "FAULT 16x16 uniform r={rate:.2} ({dead_links} dead + {degraded_spans} degraded spans, {dead_routers} dead router): lat {:.1} clks | rerouted {} hops | unreachable {} pkts | {:.2?} | parity OK ({})",
-        record.mean_latency,
-        record.rerouted_hops,
-        record.unreachable_pairs,
-        std::time::Duration::from_secs_f64(record.secs),
-        if fast { "sharded" } else { "seed + sharded" },
+        "FAULT 16x16 uniform r={rate:.2} ({dead_links} dead + {degraded_spans} degraded spans, {dead_routers} dead router): lat {:.1} clks | rerouted {} hops | unreachable {} pkts | {:.2?} | parity OK ({checked})",
+        stats.mean_latency(),
+        stats.rerouted_hops,
+        stats.unreachable_pairs,
+        Duration::from_secs_f64(secs),
     );
-    record
+    Obj::new()
+        .field("mesh", "16x16")
+        .field("pattern", "uniform")
+        .field("rate", Json::fixed(rate, 3))
+        .field("warmup", warmup)
+        .field("measure", measure)
+        .field("dead_links", dead_links)
+        .field("degraded_spans", degraded_spans)
+        .field("dead_routers", dead_routers)
+        .field("rerouted_hops", stats.rerouted_hops)
+        .field("unreachable_pairs", stats.unreachable_pairs)
+        .field("mean_latency", Json::fixed(stats.mean_latency(), 4))
+        .field("secs", Json::fixed(secs, 4))
+        .build()
 }
 
 /// Compact saturation-vs-fault-count record: for each mesh and fault
@@ -1615,22 +1249,9 @@ fn run_fault_section(quick: bool, fast: bool) -> FaultRecord {
 /// resilience counters probed at a fixed sub-saturation rate. Runs the
 /// quick sweep config in both modes — the full figure lives in
 /// `repro fault_sweep`; this record just tracks the trajectory.
-fn run_fault_saturation_section(quick: bool, shards: usize) -> Vec<FaultSatPoint> {
-    let mut points = Vec::new();
+fn run_fault_saturation_section(quick: bool, shards: usize) -> Json {
     let mesh16 = mesh(MeshSpec::paper(LinkTechnology::Electronic));
-    points.extend(fault_sat_curve(
-        &mesh16,
-        "16x16",
-        &[0, 4],
-        &SweepConfig::quick(),
-    ));
-    let mesh32 = mesh(MeshSpec {
-        width: 32,
-        height: 32,
-        core_spacing_mm: 1.0,
-        base_tech: LinkTechnology::Electronic,
-        capacity: Gbps::new(50.0),
-    });
+    let mut points = fault_sat_curve(&mesh16, "16x16", &[0, 4], &SweepConfig::quick());
     let cfg32 = if quick {
         SweepConfig {
             warmup: 100,
@@ -1641,8 +1262,9 @@ fn run_fault_saturation_section(quick: bool, shards: usize) -> Vec<FaultSatPoint
         SweepConfig::quick()
     }
     .with_shards(shards);
+    let mesh32 = square_mesh(32, LinkTechnology::Electronic);
     points.extend(fault_sat_curve(&mesh32, "32x32", &[0, 4], &cfg32));
-    points
+    points.into()
 }
 
 fn fault_sat_curve(
@@ -1650,7 +1272,7 @@ fn fault_sat_curve(
     mesh_label: &'static str,
     counts: &[usize],
     cfg: &SweepConfig,
-) -> Vec<FaultSatPoint> {
+) -> Vec<Json> {
     let healthy_routes = RoutingTable::compute_xy(topo);
     counts
         .iter()
@@ -1674,47 +1296,35 @@ fn fault_sat_curve(
             let gen = |r: f64| SyntheticPattern::Uniform.matrix(topo, r);
             let sat = runner.find_saturation(&gen, 0.5);
             let probe = runner.run_point(&gen(0.05));
-            let point = FaultSatPoint {
-                mesh: mesh_label,
-                fault_count: count,
-                sample_seed: seed,
-                saturation_load: sat.saturation_load,
-                saturated_in_range: sat.saturated_in_range,
-                rerouted_hops: probe.rerouted_hops,
-                unreachable_pairs: probe.unreachable_pairs,
-            };
             println!(
                 "FAULT-SAT {mesh_label} uniform, {count} faults (seed {seed}): saturation {} | rerouted {} hops | unreachable {} pkts",
-                if point.saturated_in_range {
-                    format!("{:.3}", point.saturation_load)
-                } else {
-                    format!("> {:.3}", point.saturation_load)
-                },
-                point.rerouted_hops,
-                point.unreachable_pairs,
+                saturation_text(sat.saturation_load, sat.saturated_in_range),
+                probe.rerouted_hops,
+                probe.unreachable_pairs,
             );
-            point
+            Obj::new()
+                .field("mesh", mesh_label)
+                .field("fault_count", count)
+                .field("sample_seed", seed)
+                .field(
+                    "saturation_load",
+                    sat.saturated_in_range
+                        .then(|| Json::fixed(sat.saturation_load, 4)),
+                )
+                .field("rerouted_hops", probe.rerouted_hops)
+                .field("unreachable_pairs", probe.unreachable_pairs)
+                .build()
         })
         .collect()
-}
-
-fn tenant_lane_json(lane: &TenantLane) -> Json {
-    Obj::new()
-        .field("mean_latency", Json::fixed(lane.mean_latency, 4))
-        .field("p99", lane.p99)
-        .field("p999", lane.p999)
-        .field("packets", lane.packets)
-        .build()
 }
 
 /// The p99.9-vs-burstiness curve: the 16×16 uniform cell re-run with
 /// ON/OFF modulated injection at peak-to-mean ratios 1/2/4/8. The factor
 /// process is mean-one, so every point offers the same long-run load —
 /// the tail growth is pure clustering. The b=4 point is parity-asserted
-/// across all three engines (`--fast` skips the seed engine; the cheap
-/// sharded assert stays), so bursty injection is pinned on every
-/// perfcheck.
-fn run_burst_section(quick: bool, fast: bool) -> Vec<BurstPoint> {
+/// on the seed (unless `fast`) and quadrant-sharded engines, so bursty
+/// injection is pinned on every perfcheck.
+fn run_burst_section(quick: bool, fast: bool) -> Json {
     let topo = mesh(MeshSpec::paper(LinkTechnology::Electronic));
     let routes = RoutingTable::compute_xy(&topo);
     let (rate, warmup, measure) = if quick {
@@ -1723,71 +1333,80 @@ fn run_burst_section(quick: bool, fast: bool) -> Vec<BurstPoint> {
         (0.10, 300, 1200)
     };
     let m = SyntheticPattern::Uniform.matrix(&topo, rate);
-    let mut points = Vec::new();
+    let mut curve = Vec::new();
+    let mut p999s = Vec::new();
     for b in [1.0f64, 2.0, 4.0, 8.0] {
         let mut cfg = SimConfig::paper();
         cfg.max_cycles = 2_000_000;
         cfg.burst = BurstSpec::onoff(b);
-        let t0 = Instant::now();
-        let stats = Simulator::new(&topo, &routes, cfg)
-            .run_synthetic(&m, warmup, measure, 11)
-            .expect("bursty active-set run completes");
-        let secs = t0.elapsed().as_secs_f64();
-        if b == 4.0 {
-            if !fast {
-                let reference = ReferenceSimulator::new(&topo, &routes, cfg)
-                    .run_synthetic(&m, warmup, measure, 11)
-                    .expect("bursty reference run completes");
-                assert_eq!(stats, reference, "bursty engine parity violated");
-            }
-            let sharded = ShardedSimulator::new(&topo, &routes, cfg, ShardSpec::quadrants())
-                .run_synthetic(&m, warmup, measure, 11)
-                .expect("bursty sharded run completes");
-            assert_eq!(sharded, stats, "bursty shard parity violated");
-        }
-        let point = BurstPoint {
-            burstiness: b,
-            mean_latency: stats.mean_latency(),
-            p99: stats.all.p99(),
-            p999: stats.all.p999(),
-            packets: stats.all.count,
-            secs,
+        let cell = SynthCell {
+            topo: &topo,
+            routes: &routes,
+            cfg,
+            warmup,
+            measure,
+            baseline: None,
+            tenants: None,
         };
+        let (stats, secs) = cell.run(&m, "bursty");
+        let parity = if b == 4.0 {
+            let checked = cell.assert_parity(&m, &stats, fast, "bursty");
+            format!(" | parity OK ({checked})")
+        } else {
+            String::new()
+        };
+        let (p99, p999) = (stats.all.p99(), stats.all.p999());
         println!(
-            "BURST 16x16 uniform r={rate:.2} {}: lat {:.1} clks (p99 {} p99.9 {}) | {} pkts | {:.2?}{}",
+            "BURST 16x16 uniform r={rate:.2} {}: lat {:.1} clks (p99 {p99} p99.9 {p999}) | {} pkts | {:.2?}{parity}",
             cfg.burst,
-            point.mean_latency,
-            point.p99,
-            point.p999,
-            point.packets,
-            std::time::Duration::from_secs_f64(point.secs),
-            if b == 4.0 {
-                if fast {
-                    " | parity OK (sharded)"
-                } else {
-                    " | parity OK (seed + sharded)"
-                }
-            } else {
-                ""
-            },
+            stats.mean_latency(),
+            stats.all.count,
+            Duration::from_secs_f64(secs),
         );
-        points.push(point);
+        curve.push(
+            Obj::new()
+                .field("burstiness", Json::fixed(b, 1))
+                .field("mean_latency", Json::fixed(stats.mean_latency(), 4))
+                .field("p99", p99)
+                .field("p999", p999)
+                .field("packets", stats.all.count)
+                .field("secs", Json::fixed(secs, 4))
+                .build(),
+        );
+        p999s.push(p999);
     }
     assert!(
-        points.last().expect("curve nonempty").p999 > points.first().expect("curve nonempty").p999,
+        p999s.last().expect("curve nonempty") > p999s.first().expect("curve nonempty"),
         "b=8 clustering must stretch the p99.9 tail past steady"
     );
-    points
+    Obj::new()
+        .field("mesh", "16x16")
+        .field("pattern", "uniform")
+        .field("modulator", "onoff")
+        .field("rate", Json::fixed(0.10, 3))
+        .field("curve", curve)
+        .build()
+}
+
+/// One per-tenant latency lane of the tenant record.
+fn tenant_lane_json(lane: &TenantStats) -> Json {
+    Obj::new()
+        .field("mean_latency", Json::fixed(lane.latency.mean(), 4))
+        .field("p99", lane.latency.p99())
+        .field("p999", lane.latency.p999())
+        .field("packets", lane.latency.count)
+        .build()
 }
 
 /// The multi-tenant interference cell: a hotspot victim (left half-tile)
 /// co-scheduled with a uniform aggressor (right half-tile) on the 16×16
 /// mesh, run with the aggressor quiet and loaded. Per-tenant latency
 /// lanes come from the tenant map attached to the engines; the loaded
-/// run is parity-asserted across all three engines plus the quadrant
-/// shard grid (tenant tiles and engine shards are independent
-/// rectangles, so the 2×1 tenant layout crosses the 2×2 shard cuts).
-fn run_tenant_section(quick: bool, fast: bool) -> TenantRecord {
+/// run is parity-asserted on the seed (unless `fast`) and
+/// quadrant-sharded engines with the map attached (tenant tiles and
+/// engine shards are independent rectangles, so the 2×1 tenant layout
+/// crosses the 2×2 shard cuts).
+fn run_tenant_section(quick: bool, fast: bool) -> Json {
     let topo = mesh(MeshSpec::paper(LinkTechnology::Electronic));
     let routes = RoutingTable::compute_xy(&topo);
     let (victim_rate, quiet, loaded, warmup, measure) = if quick {
@@ -1808,19 +1427,21 @@ fn run_tenant_section(quick: bool, fast: bool) -> TenantRecord {
     let map = spec.map(&topo);
     let mut cfg = SimConfig::paper();
     cfg.max_cycles = 2_000_000;
-
-    let t0 = Instant::now();
-    let run = |aggressor_rate: f64| {
-        let s = spec.with_rate(1, aggressor_rate);
-        let m = s.matrix(&topo);
-        Simulator::new(&topo, &routes, cfg)
-            .with_tenants(&map)
-            .run_synthetic(&m, warmup, measure, 11)
-            .expect("tenant active-set run completes")
+    let cell = SynthCell {
+        topo: &topo,
+        routes: &routes,
+        cfg,
+        warmup,
+        measure,
+        baseline: None,
+        tenants: Some(&map),
     };
-    let quiet_stats = run(quiet);
-    let loaded_stats = run(loaded);
-    let secs = t0.elapsed().as_secs_f64();
+
+    let quiet_matrix = spec.with_rate(1, quiet).matrix(&topo);
+    let loaded_matrix = spec.with_rate(1, loaded).matrix(&topo);
+    let (quiet_stats, quiet_secs) = cell.run(&quiet_matrix, "tenant");
+    let (loaded_stats, loaded_secs) = cell.run(&loaded_matrix, "tenant");
+    let secs = quiet_secs + loaded_secs;
 
     for stats in [&quiet_stats, &loaded_stats] {
         assert_eq!(stats.tenants.len(), 2, "two tenant lanes expected");
@@ -1830,38 +1451,32 @@ fn run_tenant_section(quick: bool, fast: bool) -> TenantRecord {
             "tenant lanes must partition the aggregate"
         );
     }
-    let loaded_matrix = spec.with_rate(1, loaded).matrix(&topo);
-    if !fast {
-        let reference = ReferenceSimulator::new(&topo, &routes, cfg)
-            .with_tenants(&map)
-            .run_synthetic(&loaded_matrix, warmup, measure, 11)
-            .expect("tenant reference run completes");
-        assert_eq!(loaded_stats, reference, "tenant engine parity violated");
-    }
-    let sharded = ShardedSimulator::new(&topo, &routes, cfg, ShardSpec::quadrants())
-        .with_tenants(&map)
-        .run_synthetic(&loaded_matrix, warmup, measure, 11)
-        .expect("tenant sharded run completes");
-    assert_eq!(sharded, loaded_stats, "tenant shard parity violated");
+    let checked = cell.assert_parity(&loaded_matrix, &loaded_stats, fast, "tenant");
 
-    let record = TenantRecord {
-        mesh: "16x16",
-        victim_rate,
-        aggressor_quiet: quiet,
-        aggressor_loaded: loaded,
-        victim_quiet: TenantLane::of(&quiet_stats.tenants[0]),
-        victim_loaded: TenantLane::of(&loaded_stats.tenants[0]),
-        aggressor: TenantLane::of(&loaded_stats.tenants[1]),
-        secs,
-    };
-    println!(
-        "TENANT 16x16 hotspot@{victim_rate:.2} | uniform {quiet:.2}->{loaded:.2}: victim p99.9 {} -> {} | aggressor lat {:.1} clks (p99.9 {}) | {:.2?} | parity OK ({})",
-        record.victim_quiet.p999,
-        record.victim_loaded.p999,
-        record.aggressor.mean_latency,
-        record.aggressor.p999,
-        std::time::Duration::from_secs_f64(record.secs),
-        if fast { "sharded" } else { "seed + sharded" },
+    let (victim_quiet, victim_loaded, aggressor) = (
+        &quiet_stats.tenants[0],
+        &loaded_stats.tenants[0],
+        &loaded_stats.tenants[1],
     );
-    record
+    println!(
+        "TENANT 16x16 hotspot@{victim_rate:.2} | uniform {quiet:.2}->{loaded:.2}: victim p99.9 {} -> {} | aggressor lat {:.1} clks (p99.9 {}) | {:.2?} | parity OK ({checked})",
+        victim_quiet.latency.p999(),
+        victim_loaded.latency.p999(),
+        aggressor.latency.mean(),
+        aggressor.latency.p999(),
+        Duration::from_secs_f64(secs),
+    );
+    Obj::new()
+        .field("mesh", "16x16")
+        .field("grid", "2x1")
+        .field("victim_pattern", "hotspot")
+        .field("aggressor_pattern", "uniform")
+        .field("victim_rate", Json::fixed(victim_rate, 3))
+        .field("aggressor_quiet", Json::fixed(quiet, 3))
+        .field("aggressor_loaded", Json::fixed(loaded, 3))
+        .field("secs", Json::fixed(secs, 4))
+        .field("victim_quiet", tenant_lane_json(victim_quiet))
+        .field("victim_loaded", tenant_lane_json(victim_loaded))
+        .field("aggressor", tenant_lane_json(aggressor))
+        .build()
 }

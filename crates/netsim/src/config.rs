@@ -1,10 +1,9 @@
 //! Simulator configuration (Table II).
 
 use hyppi_traffic::BurstSpec;
-use serde::{Deserialize, Serialize};
 
 /// Microarchitectural and run-control parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// Virtual channels per port (Table II: 4).
     pub vcs: usize,

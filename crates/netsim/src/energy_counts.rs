@@ -7,10 +7,9 @@
 
 use hyppi_topology::{LinkId, NodeId, RoutingTable, Topology};
 use hyppi_traffic::CommVolume;
-use serde::{Deserialize, Serialize};
 
 /// Flit traversal counts per link and per router.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EnergyCounts {
     /// Flits that crossed each link, link-id indexed.
     pub link_flits: Vec<u64>,

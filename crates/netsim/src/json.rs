@@ -1,10 +1,10 @@
 //! Shared JSON writer — a small value tree plus an escaping-correct
 //! pretty renderer.
 //!
-//! The vendored `serde` derives are no-ops, so every machine-readable
-//! export in this repo (the `repro load_sweep`/`fault_sweep` datasets,
-//! `BENCH_netsim.json`, the telemetry JSONL/Chrome-trace files) is
-//! hand-rolled. Before this module each emitter carried its own string
+//! Every machine-readable export in this repo (the `repro
+//! load_sweep`/`fault_sweep` datasets, `BENCH_netsim.json`, the
+//! telemetry JSONL/Chrome-trace files) is built here; the workspace has
+//! no serialization dependency. Before this module each emitter carried its own string
 //! escaping and its own trailing-comma bookkeeping; they now all build a
 //! [`Json`] tree and render it here, so escaping is correct (full control
 //! character coverage, not just `"` and `\`) and well-formedness is

@@ -1036,7 +1036,7 @@ impl<'a> ReferenceSimulator<'a> {
         }
     }
 
-    /// Serializes the engine state under this plan's fingerprint.
+    /// Encodes the engine state under this plan's fingerprint.
     fn snapshot_at(&self, cursor: &RunCursor, workload_hash: u64) -> Snapshot {
         let plan_hash = plan_fingerprint(
             self.topo,

@@ -3030,7 +3030,7 @@ pub(crate) fn export_shards(
     }
 }
 
-/// Serializes the state of a (possibly mid-run) sharded simulation under
+/// Encodes the state of a (possibly mid-run) sharded simulation under
 /// the plan's fingerprint and the given workload fingerprint.
 pub(crate) fn snapshot_shards(
     plan: &EnginePlan<'_>,
@@ -3702,7 +3702,7 @@ impl<'a> ShardedSimulator<'a> {
 
     // ---- checkpoint / restore -------------------------------------------
 
-    /// Serializes the engine state at the cycle boundary `now`. The
+    /// Encodes the engine state at the cycle boundary `now`. The
     /// snapshot is partition-independent: all P shards' state is merged
     /// into one global image, so it restores at any shard count
     /// (including P=1 via [`crate::Simulator::restore`]). Pins no

@@ -378,7 +378,7 @@ impl<'a> Simulator<'a> {
 
     // ---- checkpoint / restore -------------------------------------------
 
-    /// Serializes the engine state at the cycle boundary `now` (cycles
+    /// Encodes the engine state at the cycle boundary `now` (cycles
     /// `0..now` simulated, `now` not yet). For use with the manual
     /// stepping API — the caller owns the clock, so it supplies the
     /// boundary; the snapshot pins no workload (any resume accepts it,

@@ -170,7 +170,7 @@ impl Snapshot {
         read_u64(&self.bytes, 32)
     }
 
-    /// Serializes a decoded global state under the given fingerprints.
+    /// Encodes a decoded global state under the given fingerprints.
     pub(crate) fn encode(gs: &GlobalState, plan_hash: u64, workload_hash: u64) -> Snapshot {
         let mut e = Enc {
             buf: Vec::with_capacity(HEADER_LEN + 64 * gs.nodes.len()),

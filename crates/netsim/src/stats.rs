@@ -1,7 +1,5 @@
 //! Simulation statistics.
 
-use serde::{Deserialize, Serialize};
-
 /// Sub-bucket resolution: every power-of-two octave of the latency
 /// histogram is split into `2^HISTOGRAM_SUB_BITS` linear sub-buckets, so
 /// a bucket's relative width — and hence the worst-case percentile error —
@@ -46,7 +44,7 @@ fn bucket_upper(k: usize) -> u64 {
 /// Latency accumulator for one packet class, with a log-linear histogram
 /// for percentile estimation (p50/p95/p99 within 12.5% without per-packet
 /// storage).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyStats {
     /// Packets completed.
     pub count: u64,
@@ -55,9 +53,9 @@ pub struct LatencyStats {
     /// Worst latency observed.
     pub max: u64,
     /// Log-linear bucket counts, always [`HISTOGRAM_BUCKETS`] long. A
-    /// `Vec` rather than an array because the real `serde` only derives
-    /// for arrays up to 32 elements — the planned vendor-swap must not
-    /// break on this field.
+    /// `Vec` rather than a 1.8 KB inline array, so `LatencyStats` (held
+    /// by `SimStats`, every tenant lane and every sweep point) stays
+    /// cheap to move.
     pub histogram: Vec<u64>,
 }
 
@@ -166,7 +164,7 @@ impl LatencyStats {
 /// every packet's source and destination share a tenant and each counter
 /// below is attributed at the node where the aggregate counter grows —
 /// the per-tenant lanes partition the aggregate exactly.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TenantStats {
     /// Latency over this tenant's completed packets (own histogram, so
     /// per-tenant p99/p99.9 interference curves come for free).
@@ -190,7 +188,7 @@ impl TenantStats {
 }
 
 /// Results of one simulation run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimStats {
     /// Latency over all packets.
     pub all: LatencyStats,

@@ -54,7 +54,6 @@ use crate::stats::LatencyStats;
 use crate::telemetry::{NoopProbe, Probe};
 use hyppi_topology::{FaultSpec, NodeId, RoutingTable, ShardSpec, Topology};
 use hyppi_traffic::{BurstSpec, TenantMap, TenantSpec, TrafficMatrix};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -108,7 +107,7 @@ where
 }
 
 /// Sweep run-control parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepConfig {
     /// Injection cycles discarded before measurement starts.
     pub warmup: u64,
@@ -269,7 +268,7 @@ impl SweepConfig {
 }
 
 /// One measured point of a load-latency curve (all seeds merged).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoadPoint {
     /// Mean offered load, flits per node per cycle.
     pub offered: f64,
@@ -310,7 +309,7 @@ pub struct LoadPoint {
 }
 
 /// One tenant's slice of a [`LoadPoint`] (all seeds merged).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TenantLoadPoint {
     /// Merged latency statistics of the tenant's measured packets.
     pub latency: LatencyStats,
@@ -328,7 +327,7 @@ impl LoadPoint {
 }
 
 /// Outcome of a bisection saturation search.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SaturationSearch {
     /// Mean latency at the zero-load probe rate, cycles.
     pub zero_load_latency: f64,
@@ -349,7 +348,7 @@ pub struct SaturationSearch {
 
 /// One latency-throughput curve: a measured rate grid plus the saturation
 /// search outcome for the same traffic pattern.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoadCurve {
     /// Pattern / topology label.
     pub label: String,

@@ -473,7 +473,7 @@ impl MetricsSampler {
         self.interval
     }
 
-    /// Serializes the samples as JSONL (one sample object per line).
+    /// Renders the samples as JSONL (one sample object per line).
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for s in &self.samples {
@@ -718,7 +718,7 @@ impl PacketTracer {
             .build()
     }
 
-    /// Serializes the retained events as JSONL, oldest first.
+    /// Renders the retained events as JSONL, oldest first.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for ev in &self.events {
@@ -728,7 +728,7 @@ impl PacketTracer {
         out
     }
 
-    /// Serializes the retained events in Chrome `trace_event` format
+    /// Renders the retained events in Chrome `trace_event` format
     /// (load in `about://tracing` or <https://ui.perfetto.dev>). Each
     /// packet is a nestable async span (`b`…`e`) on its source node's
     /// track, with VC-allocate and hop instants (`n`) riding the span;

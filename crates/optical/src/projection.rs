@@ -5,7 +5,6 @@ use hyppi_analytic::{NocModel, CORE_CLK_GHZ};
 use hyppi_phys::{laser_power_mw, LinkTechnology, LossBudget, Micrometers, TechnologyParams};
 use hyppi_topology::{mesh, MeshSpec};
 use hyppi_traffic::{SoteriouConfig, TrafficMatrix};
-use serde::{Deserialize, Serialize};
 
 /// Communication duty cycle of real applications: the fraction of run time
 /// the NoC actually carries traffic (NPB communication phases vs total run
@@ -24,7 +23,7 @@ pub const APP_DUTY_FACTOR: f64 = 0.0408;
 pub const LASER_MARGIN_DB: f64 = 1.57;
 
 /// The three designs of Fig. 8.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AllOpticalDesign {
     /// Packet-switched electronic mesh baseline.
     ElectronicMesh,
@@ -46,7 +45,7 @@ impl AllOpticalDesign {
 }
 
 /// One corner of the radar plot: all three cost axes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RadarPoint {
     /// Which design.
     pub design: AllOpticalDesign,

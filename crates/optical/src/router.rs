@@ -16,10 +16,9 @@
 //!   Table VI's 0.39–1.5 dB range.
 
 use hyppi_phys::{Decibels, Femtojoules, LinkTechnology, SquareMicrometers};
-use serde::{Deserialize, Serialize};
 
 /// How a path uses a router.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PortKind {
     /// Enter from the local source (E-O injection).
     Inject,
@@ -39,7 +38,7 @@ pub enum PortKind {
 /// "Loss Range" brackets them. The HyPPI worst-case port pair (9.1 dB) is
 /// avoided by the paper's optimal port assignment under X-Y routing, so
 /// X-Y traversals see only the low-loss pairs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpticalRouterModel {
     /// Which link technology the router belongs to.
     pub technology: LinkTechnology,

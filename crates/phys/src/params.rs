@@ -8,10 +8,9 @@
 //! parentheses in the paper) — both are kept.
 
 use crate::units::{Decibels, Femtojoules, Gbps, Micrometers, SquareMicrometers};
-use serde::{Deserialize, Serialize};
 
 /// The four interconnect technologies compared by the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LinkTechnology {
     /// Repeated electrical wires (ITRS 14 nm parameters).
     Electronic,
@@ -65,7 +64,7 @@ impl std::fmt::Display for LinkTechnology {
 }
 
 /// On-chip laser parameters (Table I, "Laser" rows).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LaserParams {
     /// Wall-plug efficiency, as a fraction (Table I lists percent).
     pub efficiency: f64,
@@ -74,7 +73,7 @@ pub struct LaserParams {
 }
 
 /// Modulator parameters (Table I, "Modulator" rows).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModulatorParams {
     /// Peak device data rate (used for the bare link comparison, Fig. 3).
     pub peak_rate: Gbps,
@@ -96,7 +95,7 @@ pub struct ModulatorParams {
 }
 
 /// Photodetector parameters (Table I, "Photodetector" rows).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetectorParams {
     /// Detector bandwidth as a data rate (first of the paired values).
     pub rate: Gbps,
@@ -111,7 +110,7 @@ pub struct DetectorParams {
 }
 
 /// Waveguide parameters (Table I, "Waveguide" rows).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WaveguideParams {
     /// Propagation loss, dB per centimeter.
     pub propagation_loss_db_per_cm: f64,
@@ -133,7 +132,7 @@ impl WaveguideParams {
 }
 
 /// Complete parameter set for one optical technology (one Table I column).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TechnologyParams {
     /// Which column this is.
     pub technology: LinkTechnology,
@@ -266,7 +265,7 @@ pub fn hyppi_params() -> TechnologyParams {
 
 /// Electrical wire parameters derived from the ITRS 14 nm node, as used by
 /// the paper for its electronic baseline (§III-A and §III-B).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ElectronicWireParams {
     /// Wire width (paper §III-B: 160 nm).
     pub wire_width: Micrometers,

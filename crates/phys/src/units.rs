@@ -7,7 +7,6 @@
 //! physical sense. Raw values are always available through
 //! [`value`](Decibels::value) for formulas that genuinely need plain floats.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub};
@@ -15,7 +14,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub};
 macro_rules! unit {
     ($(#[$meta:meta])* $name:ident, $suffix:literal) => {
         $(#[$meta])*
-        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
         pub struct $name(pub f64);
 
         impl $name {

@@ -4,10 +4,9 @@ use crate::graph::Topology;
 use crate::ids::Coord;
 use crate::link::{Link, LinkClass};
 use hyppi_phys::{Gbps, LinkTechnology, Micrometers};
-use serde::{Deserialize, Serialize};
 
 /// Mesh geometry and base-link parameters (Table II).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeshSpec {
     /// Grid width.
     pub width: u16,
@@ -35,7 +34,7 @@ impl MeshSpec {
 }
 
 /// Express-link overlay parameters (Fig. 2b).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExpressSpec {
     /// Hop span of each express link (3, 5 or 15 in the paper).
     pub span: u16,

@@ -25,7 +25,6 @@
 
 use crate::graph::Topology;
 use crate::ids::NodeId;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// Default latency penalty for a degraded span, in cycles.
@@ -39,7 +38,7 @@ pub const DEFAULT_DEGRADED_EXTRA_LATENCY: u32 = 2;
 /// a router id is out of range, or if a span is named both dead and
 /// degraded — a fault spec that does not describe the topology it is
 /// applied to is a bug, not a runtime condition.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultSpec {
     /// Bidirectional spans whose links are removed entirely.
     pub dead_links: Vec<(NodeId, NodeId)>,

@@ -3,14 +3,13 @@
 use crate::ids::{Coord, LinkId, NodeId};
 use crate::link::{Link, LinkClass};
 use hyppi_phys::{Gbps, LinkTechnology, Micrometers};
-use serde::{Deserialize, Serialize};
 
 /// A directed NoC graph laid out on a W×H grid.
 ///
 /// Links are unidirectional; builders always create them in opposite-direction
 /// pairs ("All links are bidirectional", Fig. 2 caption). Nodes are numbered
 /// row-major: node `y·W + x` sits at grid coordinate `(x, y)`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Topology {
     /// Human-readable description (used in reproduced tables).
     pub name: String,

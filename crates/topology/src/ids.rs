@@ -1,12 +1,9 @@
 //! Node, link and coordinate identifiers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies one node (core + router) in the NoC.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct NodeId(pub u16);
 
 impl NodeId {
@@ -24,9 +21,7 @@ impl fmt::Display for NodeId {
 }
 
 /// Identifies one unidirectional link.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct LinkId(pub u32);
 
 impl LinkId {
@@ -44,7 +39,7 @@ impl fmt::Display for LinkId {
 }
 
 /// Grid coordinate of a node in a W×H layout. `x` grows east, `y` south.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Coord {
     /// Column (0 = west edge).
     pub x: u16,

@@ -2,13 +2,12 @@
 
 use crate::ids::{LinkId, NodeId};
 use hyppi_phys::{Gbps, LinkTechnology, Micrometers};
-use serde::{Deserialize, Serialize};
 
 /// Router pipeline depth in cycles (Table II: 3 stages).
 pub const ROUTER_PIPELINE_CYCLES: u32 = 3;
 
 /// Structural role of a link in the topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LinkClass {
     /// Nearest-neighbour mesh link.
     Regular,
@@ -22,7 +21,7 @@ pub enum LinkClass {
 }
 
 /// One unidirectional link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Link {
     /// Identifier; also the index into [`Topology::links`](crate::Topology).
     pub id: LinkId,

@@ -12,12 +12,11 @@
 
 use crate::graph::Topology;
 use crate::ids::{LinkId, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// A rectangular shard grid: `sx` columns × `sy` rows of tiles laid over
 /// the mesh. Tile `(tx, ty)` owns the nodes whose grid coordinates fall in
 /// its contiguous x/y span (spans are balanced to within one column/row).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardSpec {
     /// Tile columns (cuts along x).
     pub sx: u16,

@@ -38,8 +38,6 @@
 //! slots rather than overflowing. This slightly under-delivers the mean
 //! at very high offered loads — identically in every engine.
 
-use serde::{Deserialize, Serialize};
-
 /// Cycles per burst slot: the modulation factor is constant within a
 /// slot, so burst dwell times are multiples of this quantum.
 pub const BURST_SLOT_CYCLES: u64 = 16;
@@ -53,7 +51,7 @@ pub const BURST_REGEN_SLOTS: u64 = 32;
 pub const DEFAULT_SOJOURN_SLOTS: f64 = 4.0;
 
 /// A seeded temporal modulation of synthetic injection rates.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum BurstSpec {
     /// Steady Bernoulli injection: factor 1 everywhere (the default).
     #[default]

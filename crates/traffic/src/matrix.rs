@@ -1,10 +1,9 @@
 //! Dense source-destination traffic rate matrices.
 
 use hyppi_topology::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// An N×N matrix of flit rates (flits per cycle) between node pairs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrafficMatrix {
     n: usize,
     rates: Vec<f64>,

@@ -28,10 +28,9 @@ use crate::packetize::packetize_flits;
 use crate::trace::{Trace, TraceEvent};
 use crate::volume::CommVolume;
 use hyppi_topology::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Which NPB kernel to synthesize.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NpbKernel {
     /// 3-D FFT: phased all-to-all transposes.
     Ft,
@@ -69,7 +68,7 @@ impl std::fmt::Display for NpbKernel {
 type Phase = Vec<(NodeId, NodeId, u64)>;
 
 /// Generator specification.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NpbTraceSpec {
     /// Kernel to synthesize.
     pub kernel: NpbKernel,
@@ -376,7 +375,7 @@ impl NpbTraceSpec {
 ///   longer — per-node offered load drops by the same factor that
 ///   per-packet link work grows, keeping injection safely below the
 ///   bigger mesh's (lower) uniform saturation point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScaledNpbSpec {
     /// The canonical paper spec (16×16 ranks) being rescaled.
     pub base: NpbTraceSpec,

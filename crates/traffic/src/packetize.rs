@@ -7,8 +7,6 @@
 //! packet; everything else is carved into 32-flit data packets, rounding
 //! the tail up to a full data packet.
 
-use serde::{Deserialize, Serialize};
-
 /// Flits per data packet.
 pub const DATA_PACKET_FLITS: u32 = 32;
 
@@ -16,7 +14,7 @@ pub const DATA_PACKET_FLITS: u32 = 32;
 pub const FLIT_BITS: u32 = 64;
 
 /// A packetized unit ready for injection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Packet {
     /// Size in flits: 1 (control) or [`DATA_PACKET_FLITS`] (data).
     pub flits: u32,

@@ -29,14 +29,13 @@ use crate::npb::{NpbKernel, NpbTraceSpec, ScaledNpbSpec};
 use crate::soteriou::SoteriouConfig;
 use crate::volume::CommVolume;
 use hyppi_topology::{NodeId, Topology};
-use serde::{Deserialize, Serialize};
 
 /// Fraction of all traffic redirected to the corners in
 /// [`SyntheticPattern::Hotspot`].
 pub const HOTSPOT_FRACTION: f64 = 0.25;
 
 /// A rate-scalable spatial traffic pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SyntheticPattern {
     /// Uniform random: every destination equally likely.
     Uniform,

@@ -19,10 +19,9 @@ use crate::matrix::TrafficMatrix;
 use hyppi_topology::Topology;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the statistical model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SoteriouConfig {
     /// Flit acceptance probability controlling hop distribution.
     pub p: f64,

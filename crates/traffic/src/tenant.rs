@@ -20,10 +20,9 @@ use crate::matrix::TrafficMatrix;
 use crate::patterns::SyntheticPattern;
 use hyppi_phys::{Gbps, LinkTechnology};
 use hyppi_topology::{mesh, MeshSpec, NodeId, Partition, ShardSpec, Topology};
-use serde::{Deserialize, Serialize};
 
 /// One tenant's workload: a spatial pattern at an offered load.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TenantWorkload {
     /// Spatial pattern, generated on the tenant's tile sub-mesh.
     pub pattern: SyntheticPattern,
@@ -33,7 +32,7 @@ pub struct TenantWorkload {
 
 /// A multi-tenant workload layout: a rectangular tile grid plus one
 /// workload per tile, in tile order (row-major, like shard ids).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantSpec {
     grid: ShardSpec,
     tenants: Vec<TenantWorkload>,

@@ -8,13 +8,12 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use hyppi_topology::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Magic bytes of the binary trace format.
 const MAGIC: &[u8; 4] = b"HYT1";
 
 /// One packet injection event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Injection cycle.
     pub cycle: u64,
@@ -27,7 +26,7 @@ pub struct TraceEvent {
 }
 
 /// A complete trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     /// Descriptive name (e.g. "NPB FT class A, 256 ranks").
     pub name: String,
@@ -72,7 +71,7 @@ impl Trace {
         self.events.len()
     }
 
-    /// Serializes to the compact binary format.
+    /// Encodes to the compact binary format.
     pub fn to_bytes(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(32 + self.name.len() + self.events.len() * 16);
         buf.put_slice(MAGIC);
@@ -91,7 +90,7 @@ impl Trace {
         buf.freeze()
     }
 
-    /// Deserializes from the binary format.
+    /// Decodes from the binary format.
     pub fn from_bytes(mut data: Bytes) -> Result<Self, TraceDecodeError> {
         use TraceDecodeError::*;
         if data.remaining() < 4 || &data.copy_to_bytes(4)[..] != MAGIC {

@@ -8,10 +8,9 @@
 //! the communication-active wall time for time-based charges.
 
 use hyppi_topology::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Flit counts per source-destination pair for a full application run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CommVolume {
     n: usize,
     flits: Vec<u64>,
